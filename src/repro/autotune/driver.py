@@ -39,7 +39,6 @@ import numpy as np
 import repro.observe as observe
 from repro.autotune.cache import (
     TrialCache,
-    fingerprint,
     warm_start,
     warm_start_from_store,
 )
@@ -51,6 +50,7 @@ from repro.autotune.search import (
     relative_error,
     search,
 )
+from repro.cache import data_digest
 from repro.errors import ParameterError
 from repro.metrics.distortion import value_range
 
@@ -257,6 +257,7 @@ def autotune(
     store=None,
     ledger_entries: Optional[Sequence] = None,
     keep_blob: bool = True,
+    digest: Optional[str] = None,
     **codec_options,
 ) -> AutotuneResult:
     """Search the error-bound space until ``objective`` meets its
@@ -305,6 +306,9 @@ def autotune(
     keep_blob:
         Keep the compressed container of the best full-data trial on
         the result (so converged output needs no recompression).
+    digest:
+        :func:`repro.cache.data_digest` of ``data`` when the caller
+        already has it; the search then hashes only its subsample.
 
     Raises
     ------
@@ -343,7 +347,7 @@ def autotune(
     fan_out = (
         executor is not None and not executor.inline
     ) or n_workers > 0
-    fp = fingerprint(data)
+    fp = digest or data_digest(data)
     trace = observe.current_trace()
     with trace.span("autotune") as root:
         if trace.enabled:
@@ -378,7 +382,7 @@ def autotune(
         sub_trials = 0
         if data.size > subsample_threshold:
             sub = _strided_subsample(data, subsample_target)
-            sub_fp = fingerprint(sub)
+            sub_fp = data_digest(sub)
             with trace.span("autotune.subsample") as sp:
                 if trace.enabled:
                     sp.set("elements", int(sub.size))

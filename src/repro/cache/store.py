@@ -93,9 +93,8 @@ def data_digest(data) -> str:
     """Stable SHA-256 content digest of an array: dtype, shape, bytes.
 
     Two arrays share a digest iff they are element-wise identical with
-    the same dtype and shape -- same contract as the autotune
-    fingerprint, but SHA-256 because these keys name durable on-disk
-    artefacts shared across machines.
+    the same dtype and shape.  The one data hash of the package: blob
+    keys, trial keys and the autotune trial memo all use it.
     """
     a = np.ascontiguousarray(data)
     h = hashlib.sha256()

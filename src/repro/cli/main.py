@@ -132,6 +132,7 @@ def _cache_store(args):
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests)."""
+    from repro.core.spec import DEFAULT_ENTROPY, DEFAULT_TOL
     from repro.version import __version__
 
     parser = argparse.ArgumentParser(
@@ -187,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument(
         "--tol",
         type=float,
-        default=0.05,
-        help="relative tolerance for --ratio (default 0.05)",
+        default=DEFAULT_TOL,
+        help=f"relative tolerance for --ratio (default {DEFAULT_TOL:g})",
     )
     p_c.add_argument(
         "--codec",
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument(
         "--entropy",
         choices=("huffman", "rans"),
-        default="huffman",
+        default=DEFAULT_ENTROPY,
         help="entropy stage for the sz codec",
     )
     p_c.add_argument(
@@ -817,223 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compress_blob(args, data, store=None):
-    """Dispatch ``compress`` arguments to the right codec.
-
-    Returns ``(blob, mode, target)`` where ``mode`` names the control
-    mode the user asked for (``"psnr"``, ``"nrmse"``, ``"mse"``,
-    ``"ratio"``, ``"rate"`` or ``"bound"``) and ``target`` is the
-    requested value in that unit (``None`` for plain error-bound runs).
-    ``store`` (a :class:`repro.cache.CacheStore`) feeds the ``--ratio``
-    autotune search's trial cache so repeated searches converge from
-    prior probes instead of from scratch.
-    """
-    from repro.core.fixed_psnr import FixedPSNRCompressor
-    from repro.errors import ParameterError
-    from repro.sz.compressor import SZCompressor
-    from repro.sz.regression import RegressionCompressor
-    from repro.transform.compressor import TransformCompressor
-    from repro.transform.embedded import EmbeddedTransformCompressor
-
-    if args.chunks >= 1:
-        return _compress_chunked_blob(args, data)
-    mode, target = "bound", None
-    if args.nrmse is not None:
-        from repro.core.modes import compress_fixed_nrmse
-
-        if args.codec == "embedded":
-            raise ParameterError("--nrmse is not supported by --codec embedded")
-        blob = compress_fixed_nrmse(
-            data,
-            args.nrmse,
-            refine="histogram" if args.refine else None,
-            codec=args.codec,
-        )
-        mode, target = "nrmse", args.nrmse
-    elif args.mse is not None:
-        from repro.core.modes import compress_fixed_mse
-
-        if args.codec == "embedded":
-            raise ParameterError("--mse is not supported by --codec embedded")
-        blob = compress_fixed_mse(
-            data,
-            args.mse,
-            refine="histogram" if args.refine else None,
-            codec=args.codec,
-        )
-        mode, target = "mse", args.mse
-    elif args.ratio is not None:
-        from repro.autotune import autotune
-
-        if args.codec == "embedded":
-            raise ParameterError(
-                "--ratio autotuning is not supported by --codec embedded"
-            )
-        result = autotune(
-            data,
-            "ratio",
-            args.ratio,
-            codec=args.codec,
-            tol=args.tol,
-            keep_blob=True,
-            store=store,
-        )
-        print(result.report(), file=sys.stderr)
-        blob = result.blob
-        mode, target = "ratio", args.ratio
-    elif args.bit_rate is not None:
-        if args.codec != "embedded":
-            raise ParameterError("--bit-rate requires --codec embedded")
-        blob = EmbeddedTransformCompressor(
-            mode="fixed_rate", rate=args.bit_rate
-        ).compress(data)
-        mode, target = "rate", args.bit_rate
-    elif args.psnr is not None:
-        if args.codec == "embedded":
-            blob = EmbeddedTransformCompressor(
-                mode="fixed_psnr", rate=args.psnr
-            ).compress(data)
-        else:
-            comp = FixedPSNRCompressor(
-                args.psnr,
-                refine="histogram" if args.refine else None,
-                codec=args.codec,
-            )
-            blob = comp.compress(data)
-        mode, target = "psnr", args.psnr
-    elif args.pw_rel_bound is not None:
-        if args.codec != "sz":
-            raise ParameterError("--pw-rel requires --codec sz")
-        blob = SZCompressor(
-            error_bound=args.pw_rel_bound, mode="pw_rel", entropy=args.entropy
-        ).compress(data)
-    else:
-        bmode = "abs" if args.abs_bound is not None else "rel"
-        bound = args.abs_bound if args.abs_bound is not None else args.rel_bound
-        if args.codec == "sz":
-            blob = SZCompressor(
-                error_bound=bound, mode=bmode, entropy=args.entropy
-            ).compress(data)
-        elif args.codec == "transform":
-            blob = TransformCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "regression":
-            blob = RegressionCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "hybrid":
-            from repro.sz.hybrid import HybridCompressor
-
-            blob = HybridCompressor(error_bound=bound, mode=bmode).compress(data)
-        elif args.codec == "interp":
-            from repro.sz.interp import InterpolationCompressor
-
-            blob = InterpolationCompressor(
-                error_bound=bound, mode=bmode
-            ).compress(data)
-        else:
-            raise ParameterError(
-                "the embedded codec takes --bit-rate or --psnr, not error bounds"
-            )
-    return blob, mode, target
-
-
-def _compress_chunked_blob(args, data):
-    """``compress --chunks N``: slab-parallel compression through
-    :func:`repro.parallel.chunking.compress_chunked` (sz codec;
-    ``--abs``/``--rel``/``--psnr`` control modes).  Payloads move over
-    the transport selected by ``--shm``/``--no-shm``."""
-    from repro.core.fixed_psnr import FixedPSNRCompressor
-    from repro.errors import ParameterError
-    from repro.parallel.chunking import compress_chunked
-
-    if args.codec != "sz":
-        raise ParameterError("--chunks requires --codec sz")
-    kwargs = dict(
-        n_chunks=args.chunks,
-        n_workers=args.chunk_workers,
-        transport=_transport(args),
-        entropy=args.entropy,
-    )
-    if args.psnr is not None:
-        comp = FixedPSNRCompressor(
-            args.psnr, refine="histogram" if args.refine else None
-        )
-        eb_rel = comp.derive_bound(data)
-        return (
-            compress_chunked(data, float(eb_rel), mode="rel", **kwargs),
-            "psnr",
-            args.psnr,
-        )
-    if args.abs_bound is not None:
-        return (
-            compress_chunked(data, args.abs_bound, mode="abs", **kwargs),
-            "bound",
-            None,
-        )
-    if args.rel_bound is not None:
-        return (
-            compress_chunked(data, args.rel_bound, mode="rel", **kwargs),
-            "bound",
-            None,
-        )
-    raise ParameterError(
-        "--chunks supports --abs, --rel or --psnr control modes only"
-    )
-
-
-def _compress_cache_key(args, data) -> str:
-    """The content-addressed cache key for this ``compress`` invocation.
-
-    Mirrors :func:`_compress_blob`'s mode dispatch so that every knob
-    that can change the output bytes (mode, target/bound, codec,
-    refinement, entropy stage, chunking, ratio tolerance) lands in the
-    key.  The fixed-PSNR key deliberately matches the one written by
-    :func:`repro.parallel.executor.sweep_dataset`, so a sweep warms the
-    cache for later single-field ``compress`` calls and vice versa.
-    """
-    from repro.cache import blob_key, data_digest
-
-    digest = data_digest(data)
-    opts = dict(
-        refine="histogram" if args.refine else None,
-        entropy=args.entropy,
-        chunks=args.chunks or None,
-    )
-    if args.psnr is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="psnr",
-            target=float(args.psnr), **opts,
-        )
-    if args.nrmse is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="nrmse",
-            target=float(args.nrmse), **opts,
-        )
-    if args.mse is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="mse",
-            target=float(args.mse), **opts,
-        )
-    if args.ratio is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="ratio",
-            target=float(args.ratio), tol=float(args.tol), **opts,
-        )
-    if args.bit_rate is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="rate",
-            target=float(args.bit_rate), **opts,
-        )
-    if args.pw_rel_bound is not None:
-        return blob_key(
-            digest, codec=args.codec, mode="pw_rel",
-            bound=float(args.pw_rel_bound), **opts,
-        )
-    bmode = "abs" if args.abs_bound is not None else "rel"
-    bound = args.abs_bound if args.abs_bound is not None else args.rel_bound
-    return blob_key(
-        digest, codec=args.codec, mode=bmode, bound=float(bound), **opts,
-    )
-
-
 def _write_metrics(path: str) -> None:
     """Dump the process metrics registry to ``path`` (format by suffix)."""
     from repro.report import render_metrics_json, render_prometheus
@@ -1072,117 +856,61 @@ def _write_perfetto(tr, path: str) -> None:
     print(f"perfetto trace written to {path}", file=sys.stderr)
 
 
-def _trace_eb_rel(tr) -> Optional[float]:
-    """The relative bound the run's ``derive_bound`` span recorded,
-    or ``None`` when the trace has no fixed-PSNR derivation."""
-    for rec in tr.records:
-        if rec.path and rec.path[-1] == "derive_bound":
-            v = rec.gauges.get("eb_rel")
-            if v is not None:
-                return float(v)
-    return None
-
-
 def _cmd_compress(args) -> int:
-    from contextlib import ExitStack
-
+    from repro.core.spec import BOUND_MODES, CompressSpec
     from repro.observe import Trace, use_trace
 
     data = np.load(args.input)
+    spec = CompressSpec.from_args(args)
     store = _cache_store(args)
-    cache_key = None
-    cache_entry = None
-    if store is not None:
-        cache_key = _compress_cache_key(args, data)
-        cache_entry = store.get(cache_key)
-    cache_hit = cache_entry is not None
     traced = (
         args.trace or args.trace_json or args.trace_perfetto
         or args.profile_mem
     )
-    if cache_hit:
-        # Serve the stored bytes without touching a codec: the only
-        # span a traced warm run records is ``cache.hit``.
-        blob = cache_entry.payload
-        mode = cache_entry.meta.get("mode", "bound")
-        target = cache_entry.meta.get("target")
-        if traced:
-            tr = Trace()
-            with use_trace(tr):
-                with tr.span("cache.hit") as sp:
-                    sp.set("bytes", len(blob))
-    elif traced:
-        tr = Trace()
-        with ExitStack() as stack:
-            stack.enter_context(use_trace(tr))
-            if args.profile_mem:
-                from repro.telemetry.memory import profile_memory
-
-                stack.enter_context(profile_memory())
-            blob, mode, target = _compress_blob(args, data, store=store)
-    else:
-        blob, mode, target = _compress_blob(args, data, store=store)
+    tr = Trace() if traced else None
+    out = spec.run(
+        data,
+        store,
+        labels={"dataset": args.input},
+        trace=tr,
+        profile_mem=args.profile_mem,
+        chunk_workers=args.chunk_workers,
+        transport=_transport(args),
+    )
+    blob = out.blob
+    if out.report:
+        print(out.report, file=sys.stderr)
+    if traced and out.cached:
+        # The stored bytes were served without touching a codec: the
+        # only span a traced warm run records is ``cache.hit``.
+        with use_trace(tr), tr.span("cache.hit") as sp:
+            sp.set("bytes", len(blob))
+    bound = spec.mode in BOUND_MODES
+    mode, target = ("bound", None) if bound else (spec.mode, spec.target)
     with open(args.output, "wb") as fh:
         fh.write(blob)
     ratio = data.nbytes / len(blob)
     print(f"{args.input}: {data.nbytes} -> {len(blob)} bytes (CR {ratio:.2f})")
 
-    # When a quality (or ratio) target was requested, decompress once
-    # and report how close the run actually landed.  A cache hit skips
-    # the measurement too: the achieved numbers were stored with the
-    # blob when it was first compressed and the bytes are identical.
-    achieved_psnr = None
-    achieved = None
-    if cache_hit:
-        m = cache_entry.meta.get("metrics") or {}
-        achieved_psnr = m.get("achieved_psnr")
-        achieved = m.get("achieved")
-        print(f"cache: hit {cache_key[:16]} ({store.root})", file=sys.stderr)
-        if achieved_psnr is not None:
-            line = f"achieved: PSNR {achieved_psnr:.2f} dB"
-            if target is not None:
-                line += f" (target {target:g}, cached)"
-            print(line)
-    elif mode in ("psnr", "nrmse", "mse", "ratio") and args.codec != "embedded":
-        from repro.metrics.distortion import mse as measure_mse
-        from repro.metrics.distortion import nrmse as measure_nrmse
-        from repro.metrics.distortion import psnr as measure_psnr
-        from repro.sz.compressor import decompress
-
-        recon = decompress(blob)
-        achieved_psnr = float(measure_psnr(data, recon))
-        line = f"achieved: PSNR {achieved_psnr:.2f} dB"
-        if mode == "nrmse":
-            achieved = float(measure_nrmse(data, recon))
-            line += f", NRMSE {achieved:.4g} (target {target:g})"
+    if out.cached:
+        print(f"cache: hit {out.key[:16]} ({store.root})", file=sys.stderr)
+    elif store is not None:
+        print(f"cache: miss, stored {out.key[:16]}", file=sys.stderr)
+    # When a quality (or ratio) target was requested, report how close
+    # the run actually landed (replayed from the store on a hit).
+    if out.achieved_psnr is not None:
+        line = f"achieved: PSNR {out.achieved_psnr:.2f} dB"
+        if out.cached:
+            line += f" (target {target:g}, cached)"
+        elif mode == "nrmse":
+            line += f", NRMSE {out.achieved:.4g} (target {target:g})"
         elif mode == "mse":
-            achieved = float(measure_mse(data, recon))
-            line += f", MSE {achieved:.4g} (target {target:g})"
+            line += f", MSE {out.achieved:.4g} (target {target:g})"
         elif mode == "ratio":
-            achieved = float(ratio)
             line += f", CR {ratio:.2f} (target {target:g})"
         else:
-            achieved = achieved_psnr
             line += f" (target {target:g})"
         print(line)
-
-    if store is not None and not cache_hit:
-        meta = {
-            "kind": "blob",
-            "dataset": args.input,
-            "codec": args.codec,
-            "mode": mode,
-            "target": target,
-            "metrics": {
-                "achieved_psnr": achieved_psnr,
-                "achieved": achieved,
-                "ratio": float(ratio),
-                "raw_bytes": int(data.nbytes),
-                "compressed_bytes": len(blob),
-            },
-        }
-        store.put(cache_key, blob, meta)
-        print(f"cache: miss, stored {cache_key[:16]}", file=sys.stderr)
 
     if traced:
         from repro.telemetry.registry import record_trace
@@ -1203,20 +931,16 @@ def _cmd_compress(args) -> int:
         # the drift history.
         extra = {}
         if store is not None:
-            extra["cache"] = {"hit": cache_hit, "key": cache_key}
-        if not cache_hit and mode == "psnr" and achieved_psnr is not None:
-            eb_rel = _trace_eb_rel(tr)
-            if eb_rel is not None:
-                from repro.core.fixed_psnr import estimate_psnr_from_bound
-                from repro.telemetry.drift import record_conformance
+            extra["cache"] = {"hit": out.cached, "key": out.key}
+        if (
+            not out.cached and mode == "psnr" and out.eb_rel is not None
+            and out.achieved_psnr is not None
+        ):
+            from repro.telemetry.drift import record_bound_conformance
 
-                extra["conformance"] = record_conformance(
-                    args.input,
-                    args.codec,
-                    float(target),
-                    float(estimate_psnr_from_bound(eb_rel=eb_rel)),
-                    achieved_psnr,
-                )
+            (extra["conformance"],) = record_bound_conformance(
+                args.input, args.codec, [(target, out.eb_rel, out.achieved_psnr)]
+            )
         if not args.no_ledger:
             from repro.telemetry.ledger import entry_from_trace
 
@@ -1229,9 +953,9 @@ def _cmd_compress(args) -> int:
                     codec=args.codec,
                     mode=mode,
                     target=target,
-                    achieved=achieved,
+                    achieved=out.achieved,
                     target_psnr=args.psnr,
-                    achieved_psnr=achieved_psnr,
+                    achieved_psnr=out.achieved_psnr,
                     ratio=ratio,
                     raw_bytes=int(data.nbytes),
                     compressed_bytes=len(blob),
@@ -1471,6 +1195,32 @@ def _render_sweep_output(args, results, tr) -> int:
     return 1 if failed else 0
 
 
+def _append_sweep_ledger(args, tr, results, extra) -> None:
+    """Append a traced sweep's ledger entry: mean achieved PSNR and
+    ratio over the rows that succeeded."""
+    from repro.telemetry.ledger import entry_from_trace
+
+    ok = [r for r in results if r.status == "ok"]
+    _append_ledger(
+        args,
+        entry_from_trace(
+            "sweep",
+            tr,
+            dataset=args.dataset,
+            field="*",
+            codec="sz",
+            achieved_psnr=(
+                float(np.mean([r.actual_psnr for r in ok])) if ok else None
+            ),
+            ratio=(
+                float(np.mean([r.compression_ratio for r in ok]))
+                if ok else None
+            ),
+            extra=extra,
+        ),
+    )
+
+
 def _cmd_sweep_cluster(args) -> int:
     """``fpzc sweep --cluster TOPOLOGY``: scatter-gather the sweep
     across the member nodes of a running cluster instead of local
@@ -1530,48 +1280,26 @@ def _cmd_sweep_cluster(args) -> int:
                 file=sys.stderr,
             )
         if not args.no_ledger:
-            from repro.telemetry.ledger import entry_from_trace
-
-            ok_results = [r for r in results if r.status == "ok"]
             # No coordinator-side conformance records: each member node
             # already recorded its own for freshly compressed jobs, so
             # recording here would double-count the drift history.
-            _append_ledger(
-                args,
-                entry_from_trace(
-                    "sweep",
-                    tr,
-                    dataset=args.dataset,
-                    field="*",
-                    codec="sz",
-                    achieved_psnr=(
-                        float(np.mean([r.actual_psnr for r in ok_results]))
-                        if ok_results
-                        else None
-                    ),
-                    ratio=(
-                        float(
-                            np.mean([r.compression_ratio for r in ok_results])
-                        )
-                        if ok_results
-                        else None
-                    ),
-                    extra={
-                        "targets": [float(t) for t in args.targets],
-                        "cluster": {
-                            "topology": args.cluster,
-                            "nodes": list(config.peers),
-                            "alive": alive,
-                        },
-                    },
-                ),
-            )
+            _append_sweep_ledger(args, tr, results, {
+                "targets": [float(t) for t in args.targets],
+                "cluster": {
+                    "topology": args.cluster,
+                    "nodes": list(config.peers),
+                    "alive": alive,
+                },
+            })
     return _render_sweep_output(args, results, tr)
 
 
 def _cmd_sweep(args) -> int:
     if args.cluster:
         return _cmd_sweep_cluster(args)
+    from contextlib import ExitStack
+
+    from repro.observe import Trace, use_trace
     from repro.parallel.executor import sweep_dataset
 
     retry = None
@@ -1584,49 +1312,37 @@ def _cmd_sweep(args) -> int:
             seed=args.retry_seed,
         )
     cache = _cache_store(args)
+    traced = bool(args.trace or args.trace_perfetto or args.profile_mem)
     tr = None
-    if args.trace or args.trace_perfetto or args.profile_mem:
-        from contextlib import ExitStack
-
-        from repro.observe import Trace, use_trace
-
-        tr = Trace()
-        with ExitStack() as stack:
+    with ExitStack() as stack:
+        if traced:
+            tr = Trace()
             stack.enter_context(use_trace(tr))
             if args.trace_perfetto:
                 # A parent-process span so the exported timeline always
                 # shows the coordinator track next to the worker tracks.
                 stack.enter_context(tr.span("sweep"))
-            results = sweep_dataset(
-                args.dataset,
-                targets=args.targets,
-                fields=args.fields,
-                refine="histogram" if args.refine else None,
-                n_workers=args.workers,
-                collect_trace=True,
-                profile_mem=args.profile_mem,
-                retry=retry,
-                transport=_transport(args),
-                cache=cache,
-            )
-    else:
         results = sweep_dataset(
             args.dataset,
             targets=args.targets,
             fields=args.fields,
             refine="histogram" if args.refine else None,
             n_workers=args.workers,
+            collect_trace=traced,
+            profile_mem=args.profile_mem,
             retry=retry,
             transport=_transport(args),
             cache=cache,
         )
     ok_results = [r for r in results if r.status == "ok"]
     failed = [r for r in results if r.status != "ok"]
+    # Cache hits replay previously recorded measurements, so only
+    # freshly compressed fields feed the drift history.
+    fresh = [r for r in ok_results if not r.cache_hit]
+    hits = len(ok_results) - len(fresh)
     if cache is not None:
-        hits = sum(1 for r in ok_results if r.cache_hit)
         print(
-            f"cache: {hits} hit(s) / {len(ok_results) - hits} miss(es) "
-            f"({cache.root})",
+            f"cache: {hits} hit(s) / {len(fresh)} miss(es) ({cache.root})",
             file=sys.stderr,
         )
     if tr is not None:
@@ -1636,44 +1352,21 @@ def _cmd_sweep(args) -> int:
         if args.trace_perfetto:
             _write_perfetto(tr, args.trace_perfetto)
         if not args.no_ledger:
-            from repro.telemetry.ledger import entry_from_trace
-
             extra = {"targets": [float(t) for t in args.targets]}
             if cache is not None:
                 extra["cache"] = {
                     "store": str(cache.root),
-                    "hits": sum(1 for r in ok_results if r.cache_hit),
-                    "misses": sum(
-                        1 for r in ok_results if not r.cache_hit
-                    ),
+                    "hits": hits,
+                    "misses": len(fresh),
                 }
-            # Cache hits replay previously recorded measurements, so
-            # only freshly compressed fields feed the drift history.
-            fresh_results = [r for r in ok_results if not r.cache_hit]
-            if fresh_results:
-                # One conformance record per target: the mean Eq. 7/8
-                # prediction at each field's derived bound vs the mean
-                # achieved PSNR across the target's fields.
-                from repro.core.fixed_psnr import estimate_psnr_from_bound
-                from repro.telemetry.drift import record_conformance
+            if fresh:
+                # One conformance record per target.
+                from repro.telemetry.drift import record_bound_conformance
 
-                by_target = {}
-                for r in fresh_results:
-                    by_target.setdefault(float(r.target_psnr), []).append(r)
-                extra["conformance"] = [
-                    record_conformance(
-                        args.dataset,
-                        "sz",
-                        tgt,
-                        float(np.mean([
-                            estimate_psnr_from_bound(eb_rel=r.eb_rel)
-                            for r in grp
-                        ])),
-                        float(np.mean([r.actual_psnr for r in grp])),
-                        n_fields=len(grp),
-                    )
-                    for tgt, grp in sorted(by_target.items())
-                ]
+                extra["conformance"] = record_bound_conformance(
+                    args.dataset, "sz",
+                    [(r.target_psnr, r.eb_rel, r.actual_psnr) for r in fresh],
+                )
             if retry is not None:
                 from repro.telemetry.registry import metrics as _metrics
 
@@ -1692,29 +1385,7 @@ def _cmd_sweep(args) -> int:
                     "retries": _ctr("resilience.retries_total"),
                     "timeouts": _ctr("resilience.task_timeouts_total"),
                 }
-            _append_ledger(
-                args,
-                entry_from_trace(
-                    "sweep",
-                    tr,
-                    dataset=args.dataset,
-                    field="*",
-                    codec="sz",
-                    achieved_psnr=(
-                        float(np.mean([r.actual_psnr for r in ok_results]))
-                        if ok_results
-                        else None
-                    ),
-                    ratio=(
-                        float(
-                            np.mean([r.compression_ratio for r in ok_results])
-                        )
-                        if ok_results
-                        else None
-                    ),
-                    extra=extra,
-                ),
-            )
+            _append_sweep_ledger(args, tr, results, extra)
     return _render_sweep_output(args, results, tr)
 
 

@@ -1,8 +1,8 @@
 """Job routing: fingerprints -> ring owner -> failover successors.
 
 The router is the cluster's data path.  For every job it computes a
-**route key** -- for cacheable fixed-PSNR compress jobs the *exact*
-blob-cache fingerprint (:func:`repro.cache.blob_key` over the field's
+**route key** -- for compress jobs the *exact* blob-cache key
+(:meth:`repro.core.spec.CompressSpec.cache_key` over the field's
 :func:`~repro.cache.data_digest`), so the ring sends repeat
 submissions of the same ``(data_digest, codec, mode, target)`` to the
 node whose cache already holds the blob; for everything else a
@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.membership import Membership
 from repro.cluster.ring import HashRing, ring_point
+from repro.core.spec import CompressSpec, field_stats
 from repro.errors import ErrorCode, TransportError
 from repro.parallel.executor import FieldResult, failed_field_result
 from repro.resilience.retry import RetryPolicy
@@ -124,7 +125,6 @@ class ClusterRouter:
         self.trace = trace
         self._client_factory = client_factory or self._default_client
         self._clients: Dict[str, object] = {}
-        self._field_memo: Dict[Tuple, Tuple[str, int, int]] = {}
         self._lock = threading.Lock()
         self.metrics = _cluster_metrics()
         self.metrics["nodes_total"].set(len(membership.peers))
@@ -158,51 +158,18 @@ class ClusterRouter:
 
     # -- route keys -----------------------------------------------------
 
-    def _field_stats(
-        self, dataset: str, field: str, scale: Optional[float]
-    ) -> Optional[Tuple[str, int, int]]:
-        """(data_digest, nbytes, size) of a registry field, memoized.
-        ``None`` when the registry cannot produce it (the job will
-        fail through the member's normal path)."""
-        memo_key = (dataset, field, scale)
-        with self._lock:
-            hit = self._field_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        from repro.cache import data_digest
-        from repro.datasets.registry import get_dataset
-
-        try:
-            data = get_dataset(dataset, scale=scale).field(field)
-        except Exception:  # noqa: BLE001 -- unknown dataset/field
-            return None
-        stats = (data_digest(data), int(data.nbytes), int(data.size))
-        with self._lock:
-            self._field_memo[memo_key] = stats
-        return stats
-
     def route_key(self, kind: str, payload: Dict) -> str:
-        """The ring key for a job.  Fixed-PSNR compress jobs use the
-        blob-cache fingerprint itself (cache-owner affinity); other
-        kinds hash their canonical spec."""
-        mode = str(payload.get("mode") or "psnr")
-        if kind == "compress" and mode == "psnr" and payload.get("field"):
-            stats = self._field_stats(
+        """The ring key for a job.  Compress jobs use the blob-cache
+        key itself, :meth:`repro.core.spec.CompressSpec.cache_key`
+        (cache-owner affinity); other kinds hash their canonical spec."""
+        if kind == "compress" and payload.get("field"):
+            stats = field_stats(
                 str(payload.get("dataset") or ""),
                 str(payload["field"]),
                 payload.get("scale"),
             )
             if stats is not None:
-                from repro.cache import blob_key
-
-                return blob_key(
-                    stats[0],
-                    codec=str(payload.get("codec") or "sz"),
-                    mode="psnr",
-                    target=float(payload.get("target") or 0.0),
-                    refine=payload.get("refine"),
-                    entropy="huffman",
-                )
+                return CompressSpec.from_json(payload).cache_key(stats.digest)
         import hashlib
         import json
 
@@ -228,6 +195,24 @@ class ClusterRouter:
             return prefs
         return list(self.membership.peers)
 
+    def _forwards(self, payload: Dict, key: str, candidates: List[str]):
+        """Yield ``(attempt, node, body)`` along ``candidates``, the
+        provenance and dedupe key stamped into ``body["cluster"]`` and
+        the policy's backoff slept before every re-route."""
+        for attempt, node in enumerate(candidates):
+            if attempt:
+                self.metrics["failovers"].inc()
+                time.sleep(self.policy.delay(attempt, self._rng))
+            body = dict(payload)
+            body["cluster"] = {
+                "coordinator": self.name,
+                "node": node,
+                "key": key,
+                "attempt": attempt,
+                "dedupe_key": key,
+            }
+            yield attempt, node, body
+
     def submit_and_wait(
         self,
         kind: str,
@@ -248,18 +233,7 @@ class ClusterRouter:
         key = self.route_key(kind, payload)
         candidates = self.candidates(key)[: self.policy.total_attempts()]
         last_error: Optional[str] = None
-        for attempt, node in enumerate(candidates):
-            if attempt:
-                self.metrics["failovers"].inc()
-                time.sleep(self.policy.delay(attempt, self._rng))
-            body = dict(payload)
-            body["cluster"] = {
-                "coordinator": self.name,
-                "node": node,
-                "key": key,
-                "attempt": attempt,
-                "dedupe_key": key,
-            }
+        for attempt, node, body in self._forwards(payload, key, candidates):
             client = self._client(node)
             t0 = time.perf_counter()
             try:
@@ -384,20 +358,8 @@ class ClusterRouter:
             dataset, field, target, scale, refine, codec
         )
         key = self.route_key("compress", payload)
-        for attempt, node in enumerate(
-            self.candidates(key)[: self.policy.total_attempts()]
-        ):
-            if attempt:
-                self.metrics["failovers"].inc()
-                time.sleep(self.policy.delay(attempt, self._rng))
-            body = dict(payload)
-            body["cluster"] = {
-                "coordinator": self.name,
-                "node": node,
-                "key": key,
-                "attempt": attempt,
-                "dedupe_key": key,
-            }
+        candidates = self.candidates(key)[: self.policy.total_attempts()]
+        for _attempt, node, body in self._forwards(payload, key, candidates):
             try:
                 doc = self._client(node).submit_doc(
                     "compress", body, headers={FORWARDED_HEADER: self.name}
@@ -476,8 +438,8 @@ class ClusterRouter:
                 attempts=attempts,
             )
         result = doc["result"]
-        stats = self._field_stats(dataset, field, scale)
-        size = stats[2] if stats else 0
+        stats = field_stats(dataset, field, scale)
+        size = stats.size if stats else 0
         compressed = result.get("compressed_bytes") or 0
         actual = float(result["achieved_psnr"])
         return FieldResult(

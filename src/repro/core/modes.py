@@ -15,18 +15,23 @@ from repro.core.psnr_model import mse_to_psnr, nrmse_to_psnr
 from repro.errors import ParameterError
 from repro.metrics.distortion import value_range
 
-__all__ = ["compress_fixed_nrmse", "compress_fixed_mse"]
+__all__ = [
+    "compress_fixed_nrmse",
+    "compress_fixed_mse",
+    "nrmse_target_psnr",
+    "mse_target_psnr",
+]
 
 
-def compress_fixed_nrmse(data, target_nrmse: float, **options) -> bytes:
-    """Compress so the decompressed NRMSE lands at ``target_nrmse``."""
+def nrmse_target_psnr(target_nrmse: float) -> float:
+    """The PSNR target equivalent to ``target_nrmse`` (Eq. 5)."""
     if not np.isfinite(target_nrmse) or target_nrmse <= 0:
         raise ParameterError("target NRMSE must be positive and finite")
-    return compress_fixed_psnr(data, nrmse_to_psnr(target_nrmse), **options)
+    return nrmse_to_psnr(target_nrmse)
 
 
-def compress_fixed_mse(data, target_mse: float, **options) -> bytes:
-    """Compress so the decompressed MSE lands at ``target_mse``.
+def mse_target_psnr(data, target_mse: float) -> float:
+    """The PSNR target equivalent to ``target_mse`` on ``data``.
 
     MSE is range-dependent, so the data's value range enters the
     conversion (Eq. 4).
@@ -36,4 +41,14 @@ def compress_fixed_mse(data, target_mse: float, **options) -> bytes:
     vr = value_range(data)
     if vr == 0:
         raise ParameterError("fixed-MSE mode undefined for a constant field")
-    return compress_fixed_psnr(data, mse_to_psnr(target_mse, vr), **options)
+    return mse_to_psnr(target_mse, vr)
+
+
+def compress_fixed_nrmse(data, target_nrmse: float, **options) -> bytes:
+    """Compress so the decompressed NRMSE lands at ``target_nrmse``."""
+    return compress_fixed_psnr(data, nrmse_target_psnr(target_nrmse), **options)
+
+
+def compress_fixed_mse(data, target_mse: float, **options) -> bytes:
+    """Compress so the decompressed MSE lands at ``target_mse``."""
+    return compress_fixed_psnr(data, mse_target_psnr(data, target_mse), **options)

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.observe as observe
 from repro.errors import ErrorCode, ParameterError
+from repro.resilience.retry import account_failure, classify_failure
 
 __all__ = [
     "FieldResult",
@@ -57,6 +58,7 @@ def _warm_worker(index: int) -> int:
     a beat so the pool actually spawns one process per submission
     instead of reusing an idle worker."""
     import repro.core.fixed_psnr  # noqa: F401 -- import is the point
+    import repro.core.spec  # noqa: F401
     import repro.sz.compressor  # noqa: F401
 
     time.sleep(0.02)
@@ -354,7 +356,7 @@ class FieldResult:
         return cls(**{k: v for k, v in doc.items() if k in known})
 
 
-def _failed_result(
+def failed_field_result(
     dataset: str,
     field: str,
     target_psnr: float,
@@ -363,6 +365,9 @@ def _failed_result(
     error_code: str,
     attempts: int,
 ) -> FieldResult:
+    """Public constructor for a ``status="failed"`` row -- what a task
+    degrades to when it exhausts its retry budget (resilient sweeps)
+    or every cluster node that could run it (scatter-gather)."""
     nan = float("nan")
     return FieldResult(
         dataset=dataset,
@@ -378,24 +383,6 @@ def _failed_result(
         error=error,
         error_code=error_code,
         attempts=attempts,
-    )
-
-
-def failed_field_result(
-    dataset: str,
-    field: str,
-    target_psnr: float,
-    *,
-    error: str,
-    error_code: str,
-    attempts: int,
-) -> FieldResult:
-    """Public constructor for a ``status="failed"`` row -- what a task
-    degrades to when it exhausts its retry budget (resilient sweeps)
-    or every cluster node that could run it (scatter-gather)."""
-    return _failed_result(
-        dataset, field, target_psnr,
-        error=error, error_code=error_code, attempts=attempts,
     )
 
 
@@ -452,138 +439,53 @@ def run_field_task(
 
         if apply_worker_fault(fault, field, attempt) is not None:
             return POISON  # type: ignore[return-value]  (poisoned on purpose)
-    if data_ref is not None:
-        from repro.parallel.shm import open_payload
+    from contextlib import ExitStack
 
-        with open_payload(data_ref) as data:
-            return _execute_field_task(
-                dataset, field, target_psnr, data, refine, codec,
-                collect_trace, profile_mem, cache,
-            )
-    # Imports inside the function keep worker start-up lean.
-    from repro.datasets.registry import get_dataset
+    from repro.core.spec import CompressSpec
 
-    ds = get_dataset(dataset, scale=scale)
-    return _execute_field_task(
-        dataset, field, target_psnr, ds.field(field), refine, codec,
-        collect_trace, profile_mem, cache,
+    spec = CompressSpec(
+        mode="psnr", target=float(target_psnr), codec=codec, refine=refine
     )
+    local = observe.Trace() if collect_trace or profile_mem else None
+    with ExitStack() as stack:
+        # Imports inside the function keep worker start-up lean.
+        if data_ref is not None:
+            from repro.parallel.shm import open_payload
 
+            data = stack.enter_context(open_payload(data_ref))
+        else:
+            from repro.datasets.registry import get_dataset
 
-def _cached_field_result(
-    dataset: str, field: str, target_psnr: float, entry
-) -> Optional[FieldResult]:
-    """Rebuild a :class:`FieldResult` from a cache entry's recorded
-    measurements, or None when the metadata is unusable (the caller
-    then recompresses -- a malformed entry must never poison a sweep).
-    """
-    m = entry.meta.get("metrics") or {}
-    try:
-        actual = float(m["achieved_psnr"])
+            data = get_dataset(dataset, scale=scale).field(field)
+        out = spec.run(
+            data,
+            cache,
+            labels={"dataset": dataset, "field": field},
+            trace=local,
+            profile_mem=profile_mem,
+        )
+        if out.eb_rel is None:
+            # A cache entry written before its bound was recorded.
+            out = spec.run(data, trace=local, profile_mem=profile_mem)
+        metrics = None
+        if local is not None and not out.cached:
+            metrics = {
+                "trace": local.as_dict(),
+                "records": [r.as_dict() for r in local.records],
+            }
         return FieldResult(
             dataset=dataset,
             field=field,
             target_psnr=float(target_psnr),
-            actual_psnr=actual,
-            deviation=actual - float(target_psnr),
-            met=bool(actual >= target_psnr),
-            compression_ratio=float(m["ratio"]),
-            bit_rate=float(m["bit_rate"]),
-            eb_rel=float(m["eb_rel"]),
-            cache_hit=True,
+            actual_psnr=out.achieved_psnr,
+            deviation=out.achieved_psnr - float(target_psnr),
+            met=bool(out.achieved_psnr >= target_psnr),
+            compression_ratio=data.nbytes / len(out.blob),
+            bit_rate=8.0 * len(out.blob) / data.size,
+            eb_rel=out.eb_rel,
+            metrics=metrics,
+            cache_hit=out.cached,
         )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _execute_field_task(
-    dataset: str,
-    field: str,
-    target_psnr: float,
-    data,
-    refine: Optional[str],
-    codec: str,
-    collect_trace: bool,
-    profile_mem: bool,
-    cache=None,
-) -> FieldResult:
-    from repro.core.fixed_psnr import FixedPSNRCompressor
-    from repro.metrics.distortion import psnr as measure_psnr
-
-    cache_key = None
-    if cache is not None:
-        from repro.cache.store import blob_key, data_digest
-
-        # Mirrors the CLI compress key exactly (same entropy default),
-        # so `fpzc compress` of the identical field shares the entry.
-        cache_key = blob_key(
-            data_digest(data),
-            codec=codec,
-            mode="psnr",
-            target=float(target_psnr),
-            refine=refine,
-            entropy="huffman",
-        )
-        entry = cache.get(cache_key)
-        if entry is not None:
-            hit = _cached_field_result(dataset, field, target_psnr, entry)
-            if hit is not None:
-                return hit
-    comp = FixedPSNRCompressor(target_psnr, refine=refine, codec=codec)
-    eb_rel = comp.derive_bound(data)
-    metrics = None
-    if collect_trace or profile_mem:
-        local = observe.Trace()
-        if profile_mem:
-            from repro.telemetry.memory import profile_memory
-
-            with observe.use_trace(local), profile_memory():
-                blob = comp.compress(data)
-        else:
-            with observe.use_trace(local):
-                blob = comp.compress(data)
-        metrics = {
-            "trace": local.as_dict(),
-            "records": [r.as_dict() for r in local.records],
-        }
-    else:
-        blob = comp.compress(data)
-    recon = comp.decompress(blob)
-    actual = measure_psnr(data, recon)
-    result = FieldResult(
-        dataset=dataset,
-        field=field,
-        target_psnr=float(target_psnr),
-        actual_psnr=float(actual),
-        deviation=float(actual - target_psnr),
-        met=bool(actual >= target_psnr),
-        compression_ratio=data.nbytes / len(blob),
-        bit_rate=8.0 * len(blob) / data.size,
-        eb_rel=float(eb_rel),
-        metrics=metrics,
-    )
-    if cache is not None and cache_key is not None:
-        cache.put(
-            cache_key,
-            blob,
-            {
-                "kind": "blob",
-                "dataset": dataset,
-                "field": field,
-                "codec": codec,
-                "mode": "psnr",
-                "target": float(target_psnr),
-                "metrics": {
-                    "achieved_psnr": result.actual_psnr,
-                    "ratio": result.compression_ratio,
-                    "bit_rate": result.bit_rate,
-                    "eb_rel": result.eb_rel,
-                    "raw_bytes": int(data.nbytes),
-                    "compressed_bytes": len(blob),
-                },
-            },
-        )
-    return result
 
 
 def default_workers() -> int:
@@ -594,16 +496,6 @@ def default_workers() -> int:
 # ---------------------------------------------------------------------------
 # resilient execution
 # ---------------------------------------------------------------------------
-
-
-def _classify_failure(exc: Optional[BaseException], result) -> Tuple[str, str]:
-    """Map an attempt outcome to ``(error_code, message)``."""
-    if exc is not None:
-        return ErrorCode.TASK_FAILED, f"{type(exc).__name__}: {exc}"
-    return (
-        ErrorCode.POISONED_RESULT,
-        f"worker returned {type(result).__name__!s} instead of a FieldResult",
-    )
 
 
 def _resilience_counters():
@@ -659,25 +551,16 @@ def _record_failure(state, code, message, policy, rng, counters):
     """Account one failed attempt.  Returns the backoff delay before
     the next attempt, or ``None`` when the budget is exhausted."""
     state.last_error = (code, message)
-    counters["failures"].inc()
-    if code == ErrorCode.TASK_TIMEOUT:
-        counters["timeouts"].inc()
-    elif code == ErrorCode.POISONED_RESULT:
-        counters["poisoned"].inc()
-    if state.attempt >= policy.max_retries:
-        counters["exhausted"].inc()
-        return None
-    state.attempt += 1
-    counters["retries"].inc()
-    delay = policy.delay(state.attempt, rng)
-    counters["backoff"].inc(delay)
+    delay = account_failure(policy, rng, counters, code, state.attempt + 1)
+    if delay is not None:
+        state.attempt += 1
     return delay
 
 
 def _exhausted_result(state) -> FieldResult:
     code, message = state.last_error
     dataset, field, target = state.task[0], state.task[1], state.task[2]
-    return _failed_result(
+    return failed_field_result(
         dataset,
         field,
         target,
@@ -728,7 +611,7 @@ def _sweep_inline_with_retry(tasks, policy, fault, counters):
                 results.append(_with_attempts(result, state.attempt + 1))
                 break
             else:
-                code, message = _classify_failure(exc, result)
+                code, message = classify_failure(exc, result)
             delay = _record_failure(
                 state, code, message, policy, rng, counters
             )
@@ -803,7 +686,7 @@ def _sweep_pool_with_retry(tasks, policy, fault, counters, n_workers,
                         result, state.attempt + 1
                     )
                 else:
-                    settle(state, *_classify_failure(exc, result))
+                    settle(state, *classify_failure(exc, result))
             now = time.monotonic()
             for fut, (state, deadline) in list(inflight.items()):
                 if deadline is not None and now >= deadline:
@@ -901,23 +784,21 @@ def sweep_dataset(
     refs: Dict[str, Optional[object]] = {}
     if executor is not None:
         n_workers = 0 if executor.inline else executor.n_workers
-        if executor.kind == "thread":
-            # Same address space: hand workers the array itself.
-            for fname in names:
-                refs[fname] = executor.share(
-                    ("field", dataset, scale, fname),
-                    lambda f=fname: ds.field(f),
-                )
-        elif executor.arena is not None:
+        threads = executor.kind == "thread"
+        if threads or executor.arena is not None:
             for fname in names:
                 payload = executor.share(
                     ("field", dataset, scale, fname),
                     lambda f=fname: ds.field(f),
                 )
-                # A guard fallback means the worker is better off
-                # regenerating the field than receiving it by pickle.
+                # Threads share the address space and take the array
+                # itself.  Across processes, a guard fallback means the
+                # worker is better off regenerating the field than
+                # receiving it by pickle.
                 refs[fname] = (
-                    payload if isinstance(payload, ShmArrayRef) else None
+                    payload
+                    if threads or isinstance(payload, ShmArrayRef)
+                    else None
                 )
     elif resolve_transport(transport, n_workers):
         arena = ShmArena()

@@ -6,21 +6,54 @@ it, how long to back off between attempts (exponential with jitter
 drawn from a *seeded* RNG, so schedules are reproducible), and how
 long a single attempt may run before the executor declares it hung.
 
-The policy is deliberately mechanism-free -- it computes delays and
-classifies nothing.  :func:`repro.parallel.executor.sweep_dataset`
-owns the retry loop; this module owns the arithmetic, so the backoff
-law is unit-testable without spawning a single process.
+The policy is deliberately mechanism-free -- it computes delays.
+:func:`repro.parallel.executor.sweep_dataset` and the service
+dispatcher own their retry loops; this module owns the arithmetic, so
+the backoff law is unit-testable without spawning a single process,
+with the one failure classifier and failure accounting both loops
+share (:func:`classify_failure`, :func:`account_failure`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ErrorCode, ParameterError
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RetryPolicy", "account_failure", "classify_failure"]
+
+
+def classify_failure(exc: Optional[BaseException], result) -> Tuple[str, str]:
+    """Map a failed attempt to ``(error_code, message)``: a raised
+    exception is a task failure, anything else a poisoned result."""
+    if exc is not None:
+        return ErrorCode.TASK_FAILED, f"{type(exc).__name__}: {exc}"
+    return (
+        ErrorCode.POISONED_RESULT,
+        f"worker returned {type(result).__name__} instead of a result",
+    )
+
+
+def account_failure(
+    policy: "RetryPolicy", rng, counters, code: str, attempts: int
+) -> Optional[float]:
+    """Count one failed attempt in the ``resilience.*`` ``counters``
+    (``attempts`` made so far, this one included).  Returns the backoff
+    before the next attempt, or ``None`` when the budget is spent."""
+    counters["failures"].inc()
+    if code == ErrorCode.TASK_TIMEOUT:
+        counters["timeouts"].inc()
+    elif code == ErrorCode.POISONED_RESULT:
+        counters["poisoned"].inc()
+    if attempts > policy.max_retries:
+        counters["exhausted"].inc()
+        return None
+    counters["retries"].inc()
+    delay = policy.delay(attempts, rng)
+    counters["backoff"].inc(delay)
+    return delay
 
 
 @dataclass(frozen=True)

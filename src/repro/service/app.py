@@ -45,7 +45,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 import repro.observe as observe
+from repro.core.spec import CompressSpec, field_stats
 from repro.errors import ParameterError, ReproError
+from repro.resilience.retry import account_failure, classify_failure
 from repro.service.http import (
     HttpError,
     Request,
@@ -55,6 +57,7 @@ from repro.service.http import (
 )
 from repro.service.jobs import Job, JobQueue, JobSpec
 from repro.service.tasks import (
+    compress_result,
     run_autotune_job,
     run_compress_job,
     run_sweep_job,
@@ -216,9 +219,6 @@ class CompressionService:
                 root=self.config.cache_dir,
                 max_bytes=self.config.cache_max_bytes,
             )
-        # (dataset, field, scale) -> content digest, so admission-time
-        # cache lookups hash each synthetic field at most once.
-        self._digest_memo: Dict[Tuple, str] = {}
         # cache key -> followers of the in-flight primary job with that
         # key; resolved when the primary reaches a terminal state.
         self._inflight_keys: Dict[str, List[Job]] = {}
@@ -281,6 +281,9 @@ class CompressionService:
         self._wake.set()
         grace = self.config.grace_s if grace is None else grace
         deadline = time.monotonic() + grace
+        # ``_inflight`` counts jobs from the moment a dispatcher pops
+        # them, so a batch still gathering inside its window keeps the
+        # drain waiting.
         while (len(self.queue) or self._inflight) and (
             time.monotonic() < deadline
         ):
@@ -472,54 +475,28 @@ class CompressionService:
             raise HttpError(404, "job kept no blob (keep_blob=false)")
         return (200, job.blob, "application/octet-stream", ())
 
-    def _field_digest(self, spec: JobSpec) -> Optional[str]:
-        """Content digest of the job's field data, memoized per
-        (dataset, field, scale).  ``None`` for fields the registry
-        cannot produce -- those jobs fail through the normal path."""
-        memo_key = (spec.dataset, spec.field, spec.scale)
-        digest = self._digest_memo.get(memo_key)
-        if digest is None:
-            from repro.cache import data_digest
-            from repro.datasets.registry import get_dataset
-
-            try:
-                ds = get_dataset(spec.dataset, scale=spec.scale)
-                digest = data_digest(ds.field(spec.field))
-            except Exception:  # noqa: BLE001 -- bad dataset/field
-                return None
-            self._digest_memo[memo_key] = digest
-        return digest
-
     def _cache_key(self, spec: JobSpec) -> Optional[str]:
         """The blob-cache key for a cacheable job, else ``None``.
 
-        Only fixed-PSNR compress jobs are cached: their pipeline is
-        deterministic in the spec, so the key fully pins the output
-        bytes.  Search modes (ratio/nrmse/mse) converge through
-        history-dependent trajectories and stay uncached here.  The
-        key deliberately matches the one ``fpzc compress``/``sweep``
-        write, so CLI runs warm the service and vice versa.
+        Closed-form compress jobs (psnr/nrmse/mse) are cached: their
+        pipeline is deterministic in the spec, so the key fully pins
+        the output bytes.  Ratio searches converge through
+        history-dependent trajectories and stay uncached here.  The key
+        is :meth:`repro.core.spec.CompressSpec.cache_key`, the one
+        ``fpzc compress``/``sweep`` write, so CLI runs warm the service
+        and vice versa.
         """
         if (
             self.cache is None
             or spec.kind != "compress"
-            or spec.mode != "psnr"
+            or spec.mode == "ratio"
             or spec.fault is not None
         ):
             return None
-        digest = self._field_digest(spec)
-        if digest is None:
+        stats = field_stats(spec.dataset, spec.field, spec.scale)
+        if stats is None:
             return None
-        from repro.cache import blob_key
-
-        return blob_key(
-            digest,
-            codec=spec.codec,
-            mode="psnr",
-            target=float(spec.target),
-            refine=spec.refine,
-            entropy="huffman",
-        )
+        return CompressSpec.from_json(spec.as_dict()).cache_key(stats.digest)
 
     def _submit(self, kind: str, request: Request):
         if not self._accepting:
@@ -536,15 +513,17 @@ class CompressionService:
         spec.traced = self.trace is not None
         cache_key = self._cache_key(spec)
         if cache_key is not None:
+            cspec = CompressSpec.from_json(spec.as_dict())
             entry = self.cache.get(cache_key)
-            if entry is not None:
+            hit = None if entry is None else cspec.replay(entry)
+            if hit is not None:
                 # Admission-time hit: the job is born terminal and the
                 # client gets the result in the submit response itself.
                 job = Job(f"j{next(self._ids):06d}", spec)
                 job.cache_key = cache_key
                 self.jobs[job.id] = job
                 self.metrics["submitted"].inc()
-                self._finish_cached(job, entry)
+                self._finish_cached(job, cspec, hit)
                 self._prune_jobs()
                 return self._json(
                     200,
@@ -628,7 +607,7 @@ class CompressionService:
         while True:
             job = self.queue.pop()
             if job is not None:
-                self.metrics["depth"].set(len(self.queue))
+                self._claim()
                 return job
             if self._draining:
                 return None
@@ -670,19 +649,23 @@ class CompressionService:
         while len(out) < self.config.batch_max - 1:
             nxt = self.queue.pop_matching(key)
             if nxt is not None:
+                self._claim()
                 out.append(nxt)
                 continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             await asyncio.sleep(min(0.001, remaining))
-        if out:
-            self.metrics["depth"].set(len(self.queue))
         return out
 
-    async def _run_job(self, job: Job) -> None:
+    def _claim(self) -> None:
+        """Count a job popped off the queue as in flight; its
+        :meth:`_run_job` releases it."""
         self._inflight += 1
         self.metrics["inflight"].set(self._inflight)
+        self.metrics["depth"].set(len(self.queue))
+
+    async def _run_job(self, job: Job) -> None:
         t0 = time.monotonic()
         try:
             await self._execute(job)
@@ -739,7 +722,7 @@ class CompressionService:
                 if exc is None and self._result_ok(result):
                     self._finish_ok(job, result)
                     return
-                code, message = self._classify(exc, result)
+                code, message = classify_failure(exc, result)
                 if not await self._account_failure(
                     job, code, message, rng
                 ):
@@ -778,36 +761,18 @@ class CompressionService:
     def _result_ok(result) -> bool:
         return isinstance(result, dict) and result.get("status") == "ok"
 
-    @staticmethod
-    def _classify(exc, result) -> Tuple[str, str]:
-        from repro.errors import ErrorCode
-
-        if exc is not None:
-            return ErrorCode.TASK_FAILED, f"{type(exc).__name__}: {exc}"
-        return (
-            ErrorCode.POISONED_RESULT,
-            f"worker returned {type(result).__name__} instead of a result",
-        )
-
     async def _account_failure(
         self, job: Job, code: str, message: str, rng
     ) -> bool:
         """Record one failed attempt; returns whether to retry."""
-        from repro.errors import ErrorCode
-
-        self.resilience["failures"].inc()
-        if code == ErrorCode.POISONED_RESULT:
-            self.resilience["poisoned"].inc()
         job.error, job.error_code = message, code
-        retry_index = job.attempts  # 1-based: attempts already made
-        if retry_index > self.retry_policy.max_retries:
-            self.resilience["exhausted"].inc()
+        delay = account_failure(
+            self.retry_policy, rng, self.resilience, code, job.attempts
+        )
+        if delay is None:
             job.finish("failed")
             self.metrics["failed"].inc()
             return False
-        self.resilience["retries"].inc()
-        delay = self.retry_policy.delay(retry_index, rng)
-        self.resilience["backoff"].inc(delay)
         await asyncio.sleep(delay)
         if job.expired():
             self._finish_timeout(job)
@@ -865,29 +830,14 @@ class CompressionService:
         if not self.config.no_ledger:
             self._append_ledger(job, result, extra)
 
-    def _finish_cached(self, job: Job, entry) -> None:
-        """Complete ``job`` from a cache entry at admission time: same
-        terminal bookkeeping as :meth:`_finish_ok`, blob and achieved
-        metrics replayed from the store, zero pool involvement."""
-        m = entry.meta.get("metrics") or {}
-        raw = m.get("raw_bytes")
-        result: Dict = {
-            "status": "ok",
-            "cached": True,
-            "blob": entry.payload,
-            "mode": job.spec.mode,
-            "target": float(job.spec.target),
-            "eb_rel": m.get("eb_rel"),
-            "achieved": m.get("achieved_psnr"),
-            "achieved_psnr": m.get("achieved_psnr"),
-            "converged": True,
-            "raw_bytes": raw,
-            "compressed_bytes": len(entry.payload),
-            "ratio": (
-                float(raw) / len(entry.payload) if raw else None
-            ),
-            "seconds": 0.0,
-        }
+    def _finish_cached(self, job: Job, cspec, hit) -> None:
+        """Complete ``job`` from a replayed cache outcome at admission
+        time: same terminal bookkeeping as :meth:`_finish_ok`, blob and
+        achieved metrics from the store, zero pool involvement."""
+        spec = job.spec
+        raw = field_stats(spec.dataset, spec.field, spec.scale).nbytes
+        result = compress_result(cspec, hit, raw, 0.0)
+        result["blob"] = hit.blob
         self._finish_ok(job, result)
 
     def _resolve_followers(self, job: Job) -> None:
@@ -929,8 +879,7 @@ class CompressionService:
     def _conformance(self, job: Job, result: Dict):
         """The same Eq. 7/8 predicted-vs-achieved payload CLI runs
         record, so the drift monitor sees service traffic."""
-        from repro.core.fixed_psnr import estimate_psnr_from_bound
-        from repro.telemetry.drift import record_conformance
+        from repro.telemetry.drift import record_bound_conformance
 
         spec = job.spec
         if result.get("cached"):
@@ -941,40 +890,20 @@ class CompressionService:
             eb_rel = result.get("eb_rel")
             achieved = result.get("achieved_psnr", result.get("achieved"))
             if eb_rel and achieved is not None:
-                return record_conformance(
-                    spec.dataset,
-                    spec.codec,
-                    float(spec.target),
-                    float(estimate_psnr_from_bound(eb_rel=float(eb_rel))),
-                    float(achieved),
+                (conformance,) = record_bound_conformance(
+                    spec.dataset, spec.codec,
+                    [(spec.target, eb_rel, achieved)],
                 )
+                return conformance
         if spec.kind == "sweep":
             rows = [
-                r for r in result.get("results", ())
+                (r["target_psnr"], r["eb_rel"], r["actual_psnr"])
+                for r in result.get("results", ())
                 if r.get("status") == "ok"
             ]
-            if not rows:
-                return None
-            by_target: Dict[float, List[Dict]] = {}
-            for r in rows:
-                by_target.setdefault(float(r["target_psnr"]), []).append(r)
-            out = []
-            for tgt, grp in sorted(by_target.items()):
-                predicted = sum(
-                    estimate_psnr_from_bound(eb_rel=float(r["eb_rel"]))
-                    for r in grp
-                ) / len(grp)
-                achieved = sum(
-                    float(r["actual_psnr"]) for r in grp
-                ) / len(grp)
-                out.append(
-                    record_conformance(
-                        spec.dataset, spec.codec, tgt,
-                        float(predicted), float(achieved),
-                        n_fields=len(grp),
-                    )
-                )
-            return out
+            return record_bound_conformance(
+                spec.dataset, spec.codec, rows
+            ) or None
         return None
 
     def _append_ledger(self, job: Job, result: Dict, extra: Dict) -> None:

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.spec import DEFAULT_MAX_TRIALS, DEFAULT_TOL, CompressSpec
 from repro.errors import ParameterError
 
 __all__ = [
@@ -70,8 +71,8 @@ class JobSpec:
     codec: str = "sz"
     scale: Optional[float] = None
     refine: Optional[str] = None
-    tol: float = 0.05
-    max_trials: int = 12
+    tol: float = DEFAULT_TOL
+    max_trials: int = DEFAULT_MAX_TRIALS
     priority: int = 5
     deadline_s: Optional[float] = None
     keep_blob: bool = True
@@ -97,22 +98,23 @@ class JobSpec:
         dataset = str(doc.get("dataset") or "")
         if not dataset:
             raise ParameterError("job needs a 'dataset'")
-        mode = str(doc.get("mode") or "psnr")
+        # The request knobs parse exactly as a compress payload does.
+        req = CompressSpec.from_json(doc)
         spec = cls(
             kind=kind,
             dataset=dataset,
             field=str(doc.get("field") or ""),
             fields=tuple(str(f) for f in doc.get("fields") or ()),
             targets=tuple(float(t) for t in doc.get("targets") or ()),
-            mode=mode,
-            target=float(doc.get("target") or 0.0),
-            codec=str(doc.get("codec") or "sz"),
+            mode=req.mode,
+            target=req.target,
+            codec=req.codec,
             scale=(
                 float(doc["scale"]) if doc.get("scale") is not None else None
             ),
-            refine=(str(doc["refine"]) if doc.get("refine") else None),
-            tol=float(doc.get("tol") or 0.05),
-            max_trials=int(doc.get("max_trials") or 12),
+            refine=req.refine,
+            tol=req.tol,
+            max_trials=req.max_trials,
             priority=int(doc.get("priority", 5)),
             deadline_s=(
                 float(doc["deadline_s"])

@@ -9,11 +9,13 @@ values, the compressed blob (when requested) and, when tracing is on,
 the picklable span records for the dispatcher to merge into the
 service trace.
 
-The compress path is deliberately the **same pipeline** the CLI runs
-(:class:`repro.core.fixed_psnr.FixedPSNRCompressor` for PSNR targets,
-:func:`repro.autotune.autotune` for ratio/NRMSE/MSE targets), so a
-blob served over HTTP is bit-identical to one written by ``fpzc
-compress`` -- the differential contract the e2e tests assert.
+The compress path runs the **same kernel** as ``fpzc compress``:
+both build a :class:`repro.core.spec.CompressSpec` and call its
+``run`` (the closed-form Eq. 8 pipeline for psnr/nrmse/mse targets,
+an autotune search for ratio targets), so for every mode a blob served
+over HTTP is bit-identical to one written by ``fpzc compress`` for the
+same field and target -- the differential contract the e2e tests
+assert.
 
 ``fault`` specs (deterministic worker faults from
 :mod:`repro.resilience.inject`) only take effect when the service was
@@ -28,7 +30,12 @@ from typing import Dict, Optional
 
 import repro.observe as observe
 
-__all__ = ["run_compress_job", "run_sweep_job", "run_autotune_job"]
+__all__ = [
+    "compress_result",
+    "run_compress_job",
+    "run_sweep_job",
+    "run_autotune_job",
+]
 
 
 def _spec_fault(spec: Dict):
@@ -76,146 +83,61 @@ def _maybe_poisoned(spec: Dict) -> Optional[Dict]:
 def run_compress_job(spec: Dict) -> Dict:
     """One fixed-target compression: dataset field in, blob out.
 
-    ``mode == "psnr"`` runs the paper's fixed-PSNR pipeline directly;
-    ratio/NRMSE/MSE targets run a bounded autotune search and return
-    its converged blob.  The result dict always carries
-    ``achieved_psnr`` (measured on the reconstruction) so conformance
-    tracking works for every mode.
+    The payload becomes a :class:`repro.core.spec.CompressSpec` and runs
+    its kernel.  The result dict always carries ``achieved_psnr``
+    (measured on the reconstruction) so conformance tracking works for
+    every mode, and ``achieved`` in the mode's own unit.  ``ratio``
+    searches never touch the blob cache: their trajectory depends on
+    what the store already holds.
     """
     poisoned = _maybe_poisoned(spec)
     if poisoned is not None:
         return poisoned
+    from repro.core.spec import CompressSpec
     from repro.datasets.registry import get_dataset
-    from repro.metrics.distortion import psnr as measure_psnr
 
     t0 = time.perf_counter()
     ds = get_dataset(spec["dataset"], scale=spec.get("scale"))
     data = ds.field(spec["field"])
-    mode = spec.get("mode", "psnr")
-    target = float(spec["target"])
-    codec = spec.get("codec", "sz")
-    traced = bool(spec.get("traced"))
-    local = observe.Trace() if traced else None
-
-    cache = _spec_cache(spec)
-
-    def _run() -> Dict:
-        if mode == "psnr":
-            from repro.core.fixed_psnr import FixedPSNRCompressor
-
-            cache_key = None
-            if cache is not None:
-                # Same key fpzc compress/sweep use, so entries flow
-                # freely between the CLI and the service.
-                from repro.cache import blob_key, data_digest
-
-                cache_key = blob_key(
-                    data_digest(data),
-                    codec=codec,
-                    mode="psnr",
-                    target=target,
-                    refine=spec.get("refine"),
-                    entropy="huffman",
-                )
-                entry = cache.get(cache_key)
-                if entry is not None:
-                    m = entry.meta.get("metrics") or {}
-                    try:
-                        achieved = float(m["achieved_psnr"])
-                        return {
-                            "blob": entry.payload,
-                            "eb_rel": (
-                                float(m["eb_rel"])
-                                if m.get("eb_rel") is not None
-                                else None
-                            ),
-                            "achieved": achieved,
-                            "achieved_psnr": achieved,
-                            "converged": True,
-                            "cached": True,
-                        }
-                    except (KeyError, TypeError, ValueError):
-                        pass  # malformed meta: recompress (and re-store)
-            comp = FixedPSNRCompressor(
-                target, refine=spec.get("refine"), codec=codec
-            )
-            eb_rel = float(comp.derive_bound(data))
-            blob = comp.compress(data)
-            recon = comp.decompress(blob)
-            achieved = float(measure_psnr(data, recon))
-            if cache is not None:
-                cache.put(
-                    cache_key,
-                    blob,
-                    {
-                        "kind": "blob",
-                        "dataset": spec["dataset"],
-                        "field": spec["field"],
-                        "codec": codec,
-                        "mode": "psnr",
-                        "target": target,
-                        "metrics": {
-                            "achieved_psnr": achieved,
-                            "ratio": data.nbytes / len(blob),
-                            "bit_rate": 8.0 * len(blob) / data.size,
-                            "eb_rel": eb_rel,
-                            "raw_bytes": int(data.nbytes),
-                            "compressed_bytes": len(blob),
-                        },
-                    },
-                )
-            return {
-                "blob": blob,
-                "eb_rel": eb_rel,
-                "achieved": achieved,
-                "achieved_psnr": achieved,
-                "converged": True,
-            }
-        from repro.autotune import autotune
-        from repro.core.fixed_psnr import FixedPSNRCompressor
-
-        result = autotune(
-            data,
-            mode,
-            target,
-            codec=codec,
-            tol=float(spec.get("tol", 0.05)),
-            max_trials=int(spec.get("max_trials", 12)),
-            keep_blob=True,
-        )
-        recon = FixedPSNRCompressor.decompress(result.blob)
-        return {
-            "blob": result.blob,
-            "eb_rel": float(result.eb_rel),
-            "achieved": float(result.achieved),
-            "achieved_psnr": float(measure_psnr(data, recon)),
-            "converged": bool(result.converged),
-        }
-
+    cspec = CompressSpec.from_json(spec)
+    store = _spec_cache(spec) if cspec.mode != "ratio" else None
+    labels = {"dataset": spec["dataset"], "field": spec["field"]}
+    local = observe.Trace() if spec.get("traced") else None
     if local is not None:
-        with observe.use_trace(local):
-            with local.span("service.task") as sp:
-                out = _run()
-                sp.set("target", target)
+        with observe.use_trace(local), local.span("service.task") as sp:
+            out = cspec.run(data, store, labels=labels)
+            sp.set("target", cspec.target)
     else:
-        out = _run()
-    blob = out.pop("blob")
-    out.update(
-        {
-            "status": "ok",
-            "mode": mode,
-            "target": target,
-            "raw_bytes": int(data.nbytes),
-            "compressed_bytes": len(blob),
-            "ratio": data.nbytes / len(blob),
-            "seconds": time.perf_counter() - t0,
-        }
+        out = cspec.run(data, store, labels=labels)
+    result = compress_result(
+        cspec, out, int(data.nbytes), time.perf_counter() - t0
     )
     if spec.get("keep_blob", True):
-        out["blob"] = blob
+        result["blob"] = out.blob
     if local is not None:
-        out["records"] = [r.as_dict() for r in local.records]
-    return out
+        result["records"] = [r.as_dict() for r in local.records]
+    return result
+
+
+def compress_result(cspec, out, raw_bytes: int, seconds: float) -> Dict:
+    """The result document of a compress job, fresh or replayed from
+    the cache (the blob travels separately)."""
+    result = {
+        "status": "ok",
+        "mode": cspec.mode,
+        "target": cspec.target,
+        "eb_rel": out.eb_rel,
+        "achieved": out.achieved,
+        "achieved_psnr": out.achieved_psnr,
+        "converged": out.converged,
+        "raw_bytes": raw_bytes,
+        "compressed_bytes": len(out.blob),
+        "ratio": raw_bytes / len(out.blob),
+        "seconds": seconds,
+    }
+    if out.cached:
+        result["cached"] = True
+    return result
 
 
 def run_sweep_job(spec: Dict, executor=None) -> Dict:

@@ -75,6 +75,61 @@ DEFAULT_RADIUS = 32767
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
 
+def check_bound(error_bound: float, mode: str) -> None:
+    """The parameter contract of every abs/rel error-bounded codec."""
+    if mode not in ("abs", "rel"):
+        raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
+    if not np.isfinite(error_bound) or error_bound <= 0:
+        raise ParameterError(f"error bound must be positive, got {error_bound}")
+
+
+def validate_input(data) -> np.ndarray:
+    """The input contract every error-bounded codec shares: a
+    non-empty, finite float32/float64 array."""
+    arr = np.asarray(data)
+    if arr.dtype not in _SUPPORTED_DTYPES:
+        raise ParameterError(
+            f"dtype {arr.dtype} unsupported; use float32 or float64"
+        )
+    if arr.ndim == 0 or arr.size == 0:
+        raise ParameterError("data must be a non-empty array")
+    if not np.all(np.isfinite(arr)):
+        raise CompressionError(
+            "data contains NaN/Inf; error-bounded compression of "
+            "non-finite values is undefined"
+        )
+    return arr
+
+
+def open_container(blob: bytes, codec: int, name: str):
+    """Parse ``blob`` as a ``codec`` container (``name`` for the error
+    message); returns ``(container, dtype, shape)``."""
+    container = Container.from_bytes(blob)
+    if container.codec != codec:
+        raise FormatError(f"container was not produced by the {name} codec")
+    try:
+        dtype = np.dtype(container.meta["dtype"])
+        shape = tuple(int(s) for s in container.meta["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad container metadata: {exc}") from exc
+    return container, dtype, shape
+
+
+def restore_escapes(q, escape_symbol: int, n_escapes: int, stream, lossless):
+    """Put the escaped codes from the lossless ``stream`` back where
+    their markers sit in ``q``: the decode side of every codec's escape
+    stream."""
+    escaped = np.frombuffer(lossless_decompress(stream, lossless), dtype=np.int64)
+    if escaped.size != n_escapes:
+        raise DecompressionError("escape stream length mismatch")
+    mask = q == escape_symbol
+    if int(mask.sum()) != n_escapes:
+        raise DecompressionError("escape marker count mismatch")
+    q = q.copy()
+    q[mask] = escaped
+    return q
+
+
 class SZCompressor:
     """Error-bounded lossy compressor with SZ semantics.
 
@@ -162,22 +217,6 @@ class SZCompressor:
         self.target_psnr: Optional[float] = None
 
     # -- helpers --------------------------------------------------------
-
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError(
-                "data contains NaN/Inf; error-bounded compression of "
-                "non-finite values is undefined"
-            )
-        return arr
 
     def resolve_error_bound(self, data: np.ndarray) -> float:
         """Return the absolute bound the quantizer will use under

@@ -49,7 +49,13 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, _SUPPORTED_DTYPES
+from repro.sz.compressor import (
+    DEFAULT_RADIUS,
+    check_bound,
+    open_container,
+    restore_escapes,
+    validate_input,
+)
 from repro.sz.quantizer import MAX_LATTICE_COORD
 from repro.sz.regression import design_matrix, fit_block_planes
 from repro.transform.blocking import merge_blocks, split_blocks
@@ -96,10 +102,7 @@ class HybridCompressor:
         lossless_level: int = 6,
         quantization_radius: int = DEFAULT_RADIUS,
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        check_bound(error_bound, mode)
         if block_size < 2:
             raise ParameterError("block size must be >= 2")
         if quantization_radius < 1:
@@ -113,22 +116,9 @@ class HybridCompressor:
         self.radius = int(quantization_radius)
         self.target_psnr = None
 
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError("data contains NaN/Inf")
-        return arr
-
     def compress(self, data) -> bytes:
         """Compress ``data``; returns a serialized container."""
-        arr = self._validate(data)
+        arr = validate_input(data)
         x = arr.astype(np.float64, copy=False)
         vr = float(x.max() - x.min())
         meta = {
@@ -246,15 +236,8 @@ class HybridCompressor:
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_HYBRID:
-            raise FormatError("container was not produced by the hybrid codec")
+        container, dtype, shape = open_container(blob, CODEC_HYBRID, "hybrid")
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
 
         if "constant" in meta:
             return np.full(shape, unpack_exact_float(meta["constant"]), dtype=dtype)
@@ -290,15 +273,10 @@ class HybridCompressor:
         q = code.decode(payload, n_codes, total_bits)
 
         if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            mask = q == escape_symbol
-            if int(mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[mask] = escaped
+            q = restore_escapes(
+                q, escape_symbol, n_escapes, container.stream("escapes"),
+                lossless,
+            )
 
         q = q.reshape((n_blocks,) + (m,) * d)
         recon = np.empty(q.shape, dtype=np.float64)

@@ -50,7 +50,7 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, SZCompressor
+from repro.sz.compressor import DEFAULT_RADIUS, restore_escapes, validate_input
 from repro.sz.predictors import lorenzo_difference, lorenzo_reconstruct
 from repro.sz.quantizer import LatticeQuantizer
 
@@ -155,7 +155,7 @@ class TemporalCompressor:
 
     def push(self, snapshot) -> bytes:
         """Compress the next snapshot; returns a self-describing blob."""
-        arr = SZCompressor._validate(snapshot)
+        arr = validate_input(snapshot)
         keyframe = (
             self._quantizer is None or self._step % self.keyframe_interval == 0
         )
@@ -302,15 +302,10 @@ class TemporalDecompressor:
         payload = lossless_decompress(container.stream("payload"), lossless)
         q = code.decode(payload, n, total_bits).reshape(shape)
         if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            mask = q == escape_symbol
-            if int(mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[mask] = escaped
+            q = restore_escapes(
+                q, escape_symbol, n_escapes, container.stream("escapes"),
+                lossless,
+            )
 
         if order == 0:
             spatial = q

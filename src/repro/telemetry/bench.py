@@ -167,21 +167,17 @@ def run_compress_bench() -> Dict:
     """Run every compress case under a trace; returns the
     ``BENCH_compress.json`` document (schema + per-case entries, each
     split into ``deterministic`` and ``timing``)."""
-    from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.core.spec import CompressSpec
     from repro.datasets.registry import get_dataset
-    from repro.metrics.distortion import psnr as measure_psnr
     from repro.telemetry.registry import record_trace
 
     cases: List[Dict] = []
     for dataset, field, codec, target in COMPRESS_CASES:
         data = get_dataset(dataset).field(field)
-        comp = FixedPSNRCompressor(target, codec=codec)
         tr = observe.Trace()
-        with observe.use_trace(tr):
-            blob = comp.compress(data)
+        out = CompressSpec(target=target, codec=codec).run(data, trace=tr)
         record_trace(tr)
-        recon = comp.decompress(blob)
-        achieved = float(measure_psnr(data, recon))
+        blob, achieved = out.blob, out.achieved_psnr
         stage_seconds = {
             path[-1]: agg["duration_s"]
             for path, agg in tr.aggregate().items()
@@ -455,41 +451,28 @@ def run_cache_bench() -> Dict:
     import tempfile
     import time
 
-    from repro.cache import CacheStore, blob_key, data_digest
-    from repro.core.fixed_psnr import FixedPSNRCompressor
+    from repro.cache import CacheStore
+    from repro.core.spec import CompressSpec
     from repro.datasets.registry import get_dataset
 
     cc = CACHE_CASE
     data = get_dataset(cc["dataset"]).field(cc["field"])
     target = float(cc["target"])
-
-    def _cached_compress(store: CacheStore):
-        """The CLI's compress-through-cache path, inlined."""
-        key = blob_key(
-            data_digest(data),
-            codec=cc["codec"],
-            mode="psnr",
-            target=target,
-            refine=None,
-            entropy="huffman",
-        )
-        entry = store.get(key)
-        if entry is not None:
-            return entry.payload, True, key
-        blob = FixedPSNRCompressor(target, codec=cc["codec"]).compress(data)
-        store.put(key, blob, {"kind": "blob", "mode": "psnr"})
-        return blob, False, key
+    # The same compress-through-cache kernel every entry point runs.
+    spec = CompressSpec(mode="psnr", target=target, codec=cc["codec"])
 
     with tempfile.TemporaryDirectory() as tmp:
         store = CacheStore(root=tmp)
         t0 = time.perf_counter()
-        cold_blob, cold_hit, key = _cached_compress(store)
+        cold = spec.run(data, store)
         cold_wall = time.perf_counter() - t0
         tr = observe.Trace()
         t0 = time.perf_counter()
         with observe.use_trace(tr):
-            warm_blob, warm_hit, _ = _cached_compress(store)
+            warm = spec.run(data, store)
         warm_wall = time.perf_counter() - t0
+        cold_blob, cold_hit = cold.blob, cold.cached
+        warm_blob, warm_hit = warm.blob, warm.cached
         codec_spans = sum(
             1
             for rec in tr.records

@@ -48,6 +48,7 @@ from repro.errors import ParameterError
 __all__ = [
     "ConformancePoint",
     "record_conformance",
+    "record_bound_conformance",
     "conformance_points",
     "SeriesVerdict",
     "DriftReport",
@@ -118,6 +119,36 @@ def record_conformance(
         "deviation_db": deviation,
         "n_fields": int(n_fields),
     }
+
+
+def record_bound_conformance(
+    dataset: str, codec: str, rows: Iterable[Tuple[float, float, float]]
+) -> List[Dict]:
+    """Record one conformance observation per target over ``rows`` of
+    ``(target_psnr, eb_rel, achieved_psnr)``: the mean Eq. 7/8
+    prediction at each row's derived bound against the mean achieved
+    PSNR of the target's rows.  Returns the payloads in target order."""
+    import numpy as np
+
+    from repro.core.fixed_psnr import estimate_psnr_from_bound
+
+    by_target: Dict[float, List[Tuple[float, float]]] = {}
+    for target, eb_rel, achieved in rows:
+        predicted = estimate_psnr_from_bound(eb_rel=float(eb_rel))
+        by_target.setdefault(float(target), []).append(
+            (predicted, float(achieved))
+        )
+    return [
+        record_conformance(
+            dataset,
+            codec,
+            target,
+            float(np.mean([p for p, _ in group])),
+            float(np.mean([a for _, a in group])),
+            n_fields=len(group),
+        )
+        for target, group in sorted(by_target.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

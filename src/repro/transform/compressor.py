@@ -28,7 +28,6 @@ from repro.encoding.lossless import (
 )
 from repro.errors import (
     CompressionError,
-    DecompressionError,
     FormatError,
     ParameterError,
 )
@@ -38,7 +37,13 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, _SUPPORTED_DTYPES
+from repro.sz.compressor import (
+    DEFAULT_RADIUS,
+    check_bound,
+    open_container,
+    restore_escapes,
+    validate_input,
+)
 from repro.transform.blocking import merge_blocks, split_blocks
 from repro.transform.dct import block_inverse, block_transform, dct_matrix
 
@@ -84,10 +89,7 @@ class TransformCompressor:
         quantization_radius: int = DEFAULT_RADIUS,
         transform: str = "dct",
     ) -> None:
-        if mode not in ("abs", "rel"):
-            raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        check_bound(error_bound, mode)
         if block_size < 2:
             raise ParameterError("block size must be >= 2")
         if quantization_radius < 1:
@@ -117,19 +119,6 @@ class TransformCompressor:
             return haar_matrix(m)
         return dct_matrix(m)
 
-    @staticmethod
-    def _validate(data) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
-        if not np.all(np.isfinite(arr)):
-            raise CompressionError("data contains NaN/Inf")
-        return arr
-
     def _pack(self, meta, streams) -> bytes:
         """Serialize the container with byte accounting when traced."""
         from repro.telemetry.registry import metrics as _metrics
@@ -142,7 +131,7 @@ class TransformCompressor:
         """Compress ``data``; returns a serialized container."""
         trace = observe.current_trace()
         with trace.span("transform.compress") as root:
-            arr = self._validate(data)
+            arr = validate_input(data)
             if trace.enabled:
                 root.count("n_points", int(arr.size))
                 root.count("raw_bytes", int(arr.nbytes))
@@ -252,15 +241,10 @@ class TransformCompressor:
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_TRANSFORM:
-            raise FormatError("container was not produced by the transform codec")
+        container, dtype, shape = open_container(
+            blob, CODEC_TRANSFORM, "transform"
+        )
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
 
         if "constant" in meta:
             return np.full(shape, unpack_exact_float(meta["constant"]), dtype=dtype)
@@ -284,15 +268,10 @@ class TransformCompressor:
         q = code.decode(payload, n_codes, total_bits)
 
         if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped.size != n_escapes:
-                raise DecompressionError("escape stream length mismatch")
-            esc_mask = q == escape_symbol
-            if int(esc_mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[esc_mask] = escaped
+            q = restore_escapes(
+                q, escape_symbol, n_escapes, container.stream("escapes"),
+                lossless,
+            )
 
         d = len(shape)
         transform_id = int(meta.get("transform", 0))

@@ -15,6 +15,7 @@ import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.fixed_psnr import FixedPSNRCompressor
@@ -23,6 +24,7 @@ from repro.errors import ErrorCode
 from repro.metrics.distortion import psnr
 from repro.errors import TransportError
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import COMPRESS_MODES
 from repro.service.testing import ServiceThread
 
 DATASET = "ATM"
@@ -210,6 +212,49 @@ class TestHappyPath:
         assert _metric(text, "fpzc_service_queue_seconds_count") > 0
 
 
+def _cli_target(mode: str) -> float:
+    """A representative target per compress mode on DATASET/FIELD."""
+    if mode == "mse":
+        vr = float(np.ptp(get_dataset(DATASET).field(FIELD)))
+        return (vr * 1e-3) ** 2
+    return {"psnr": TARGET, "nrmse": 1e-3, "ratio": 8.0}[mode]
+
+
+class TestCliParity:
+    """One request definition: for every mode the service accepts, the
+    served blob is the one ``fpzc compress`` writes for the same field
+    and target, and ``achieved`` is measured in the mode's own unit."""
+
+    @pytest.mark.parametrize("mode", COMPRESS_MODES)
+    def test_served_blob_equals_cli_blob(self, svc, mode, tmp_path):
+        from repro.cli.main import main
+        from repro.metrics.distortion import mse, nrmse
+
+        data = get_dataset(DATASET).field(FIELD)
+        np.save(tmp_path / "f.npy", data)
+        target = _cli_target(mode)
+        out = tmp_path / "f.fpz"
+        assert main([
+            "compress", str(tmp_path / "f.npy"), "-o", str(out),
+            f"--{mode}", repr(target),
+        ]) == 0
+        client = svc.client()
+        job = client.submit_compress(DATASET, FIELD, mode=mode, target=target)
+        doc = client.wait(job, timeout=180)
+        assert doc["state"] == "done"
+        blob = client.fetch_blob(job)
+        assert blob == out.read_bytes()
+        recon = FixedPSNRCompressor.decompress(blob)
+        measured = {
+            "psnr": psnr, "nrmse": nrmse, "mse": mse,
+            "ratio": lambda x, _: x.nbytes / len(blob),
+        }[mode](data, recon)
+        assert doc["result"]["achieved"] == pytest.approx(measured)
+        assert doc["result"]["achieved_psnr"] == pytest.approx(
+            psnr(data, recon)
+        )
+
+
 class TestAdmissionControl:
     def test_full_queue_answers_429_with_retry_after(self):
         with ServiceThread(
@@ -381,6 +426,23 @@ class TestDrain:
             # grace -- the contract under test is completion, not
             # latency, and the default 10 s can expire under the
             # full-suite load of a shared CI box.
+            st.stop(grace=120.0)
+        states = {jid: st.service.jobs[jid].state for jid in jobs}
+        assert set(states.values()) == {"done"}, states
+
+    def test_drain_waits_for_jobs_gathered_into_a_batch(self):
+        """Regression: a dispatcher that popped jobs and is still inside
+        its batch window holds them outside the queue.  Drain must count
+        them as in flight instead of cancelling the dispatchers and
+        stranding them as ``queued``."""
+        st = ServiceThread(no_ledger=True, batch_window_s=0.5).start()
+        try:
+            client = st.client()
+            jobs = [
+                client.submit_compress(DATASET, f, target=TARGET)
+                for f in ("CLDHGH", "CLDLOW", "CLDMED")
+            ]
+        finally:
             st.stop(grace=120.0)
         states = {jid: st.service.jobs[jid].state for jid in jobs}
         assert set(states.values()) == {"done"}, states
