@@ -11,11 +11,9 @@ Usage::
 
     PYTHONPATH=src python scripts/regen_golden.py
 
-The field is a double cumulative sum of seeded Gaussian noise -- smooth
-enough that every predictor family has something to predict, and offset
-away from zero so the pointwise-relative codec never divides by tiny
-values.  The codec settings below must stay in sync with the assertions
-in ``tests/test_format_stability.py``.
+The field and the codec settings live in ``tests/golden_settings.py``,
+which ``tests/test_format_stability.py`` imports too: the test re-encodes
+every fixture with the same table and compares bytes.
 """
 
 from __future__ import annotations
@@ -27,30 +25,13 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))  # for tests.golden_settings
 
 from repro.metrics.distortion import psnr  # noqa: E402
-from repro.parallel.chunking import compress_chunked  # noqa: E402
-from repro.sz.compressor import SZCompressor, decompress  # noqa: E402
-from repro.sz.hybrid import HybridCompressor  # noqa: E402
-from repro.sz.interp import InterpolationCompressor  # noqa: E402
-from repro.sz.legacy import Sz11Compressor  # noqa: E402
-from repro.sz.regression import RegressionCompressor  # noqa: E402
-from repro.transform.compressor import TransformCompressor  # noqa: E402
-from repro.transform.embedded import EmbeddedTransformCompressor  # noqa: E402
+from repro.sz.compressor import decompress  # noqa: E402
+from tests.golden_settings import FIXTURES, make_field  # noqa: E402
 
 GOLDEN = REPO / "tests" / "golden"
-
-
-def make_field() -> np.ndarray:
-    """The golden field: seeded, smooth, strictly positive, float32."""
-    rng = np.random.default_rng(20180925)  # CLUSTER 2018 camera-ready-ish
-    noise = rng.normal(size=(24, 32))
-    field = np.cumsum(np.cumsum(noise, axis=0), axis=1)
-    # Normalize to [1, 2]: smooth, nonzero (pw_rel-safe), value range 1
-    # so absolute and relative bounds coincide numerically.
-    lo, hi = field.min(), field.max()
-    field = 1.0 + (field - lo) / (hi - lo)
-    return field.astype(np.float32)
 
 
 def main() -> int:
@@ -58,24 +39,8 @@ def main() -> int:
     field = make_field()
     np.save(GOLDEN / "field.npy", field)
 
-    fixtures = {
-        "sz_abs": SZCompressor(1e-3, mode="abs").compress(field),
-        "sz_rel_rans": SZCompressor(
-            1e-4, mode="rel", entropy="rans"
-        ).compress(field),
-        "sz_pw_rel": SZCompressor(1e-2, mode="pw_rel").compress(field),
-        "regression": RegressionCompressor(1e-3, mode="abs").compress(field),
-        "hybrid": HybridCompressor(1e-3, mode="abs").compress(field),
-        "interp": InterpolationCompressor(1e-3, mode="abs").compress(field),
-        "legacy": Sz11Compressor(1e-3, mode="abs").compress(field),
-        "chunked": compress_chunked(field, 1e-3, mode="abs", n_chunks=3),
-        "transform": TransformCompressor(1e-4, mode="rel").compress(field),
-        "embedded": EmbeddedTransformCompressor(
-            mode="fixed_psnr", rate=70.0
-        ).compress(field),
-    }
-
-    for name, blob in fixtures.items():
+    for name, encode in FIXTURES.items():
+        blob = encode(field)
         (GOLDEN / f"{name}.fpz").write_bytes(blob)
         recon = decompress(blob)  # every fixture must round-trip
         print(

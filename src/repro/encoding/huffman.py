@@ -276,12 +276,16 @@ class CanonicalHuffman:
 
         Uses the vectorized speculative/pointer-doubling decoder when
         the maximum code length permits a flat table, else the
-        sequential decoder.
+        sequential decoder.  Both require the last symbol to end
+        exactly at ``total_bits``: a stream holding more or fewer
+        symbols than asked for is rejected, not truncated.
         """
-        if n_symbols == 0:
-            return np.zeros(0, dtype=np.int64)
         if n_symbols < 0 or total_bits < 0:
             raise ParameterError("negative sizes")
+        if n_symbols == 0:
+            if total_bits:
+                raise DecompressionError("Huffman stream holds unread bits")
+            return np.zeros(0, dtype=np.int64)
         if self.max_length > MAX_TABLE_BITS:
             return self.decode_sequential(payload, n_symbols, total_bits)
         return self._decode_vectorized(payload, n_symbols, total_bits)
@@ -325,6 +329,8 @@ class CanonicalHuffman:
         end = int(positions[-1] + self.lengths[sym_idx[-1]])
         if end > total_bits:
             raise DecompressionError("Huffman stream overruns declared bit count")
+        if end < total_bits:
+            raise DecompressionError("Huffman stream holds unread bits")
         return self.symbols[sym_idx]
 
     def decode_sequential(
@@ -368,6 +374,8 @@ class CanonicalHuffman:
                 ln = 0
             elif ln > self.max_length:
                 raise DecompressionError("invalid Huffman code in stream")
+        if pos != total_bits:
+            raise DecompressionError("Huffman stream holds unread bits")
         return out
 
     # -- serialization -------------------------------------------------

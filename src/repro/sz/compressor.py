@@ -75,17 +75,24 @@ DEFAULT_RADIUS = 32767
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
 
-def check_bound(error_bound: float, mode: str) -> None:
-    """The parameter contract of every abs/rel error-bounded codec."""
-    if mode not in ("abs", "rel"):
-        raise ParameterError(f"mode must be 'abs' or 'rel', got {mode!r}")
+#: entropy-stage ids stored in the container
+ENTROPY_CODERS = {"huffman": 0, "rans": 1, "rans_rle": 2}
+
+
+def check_bound(error_bound: float, mode: str, modes=("abs", "rel")) -> None:
+    """The parameter contract of every error-bounded codec: ``mode``
+    is one of ``modes`` and the bound is positive."""
+    if mode not in modes:
+        names = " or ".join([", ".join(map(repr, modes[:-1])), repr(modes[-1])])
+        raise ParameterError(f"mode must be {names}, got {mode!r}")
     if not np.isfinite(error_bound) or error_bound <= 0:
         raise ParameterError(f"error bound must be positive, got {error_bound}")
 
 
-def validate_input(data) -> np.ndarray:
+def validate_input(data, finite: bool = True) -> np.ndarray:
     """The input contract every error-bounded codec shares: a
-    non-empty, finite float32/float64 array."""
+    non-empty float32/float64 array, finite unless ``finite`` is off
+    (SZ's fill-value path screens non-finite values itself)."""
     arr = np.asarray(data)
     if arr.dtype not in _SUPPORTED_DTYPES:
         raise ParameterError(
@@ -93,7 +100,7 @@ def validate_input(data) -> np.ndarray:
         )
     if arr.ndim == 0 or arr.size == 0:
         raise ParameterError("data must be a non-empty array")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise CompressionError(
             "data contains NaN/Inf; error-bounded compression of "
             "non-finite values is undefined"
@@ -115,18 +122,134 @@ def open_container(blob: bytes, codec: int, name: str):
     return container, dtype, shape
 
 
-def restore_escapes(q, escape_symbol: int, n_escapes: int, stream, lossless):
-    """Put the escaped codes from the lossless ``stream`` back where
-    their markers sit in ``q``: the decode side of every codec's escape
-    stream."""
-    escaped = np.frombuffer(lossless_decompress(stream, lossless), dtype=np.int64)
-    if escaped.size != n_escapes:
-        raise DecompressionError("escape stream length mismatch")
+# -- the code-stream stage ------------------------------------------------
+#
+# Every quantizing codec ends the same way (paper Section II-A): escape
+# the out-of-radius codes, entropy-code the rest, pass the streams
+# through the lossless stage.  The container then holds ``table`` and
+# ``payload`` first, the codec's own streams next, ``escapes`` last.
+
+
+def split_escapes(q, radius: int, meta, streams, lossless: str, level: int):
+    """Replace each code with ``|q| > radius`` by the marker
+    ``radius + 1``, append the escaped codes to ``streams`` as the
+    lossless ``escapes`` stream, and record ``n_escapes`` and
+    ``escape_symbol`` in ``meta``; returns the marked codes."""
+    escape_symbol = radius + 1
+    esc_mask = np.abs(q) > radius
+    n_escapes = int(esc_mask.sum())
+    if n_escapes:
+        escaped = q[esc_mask].astype(np.int64)
+        q = q.copy()
+        q[esc_mask] = escape_symbol
+        streams.append(
+            ("escapes", lossless_compress(escaped.tobytes(), lossless, level))
+        )
+    meta["n_escapes"] = n_escapes
+    meta["escape_symbol"] = escape_symbol
+    return q
+
+
+def encode_codes(q, meta, streams, lossless: str, level: int, entropy=None):
+    """Entropy-code ``q`` and prepend the ``table``/``payload`` streams.
+
+    ``entropy`` names the coder (see :data:`ENTROPY_CODERS`) and is
+    recorded in ``meta``; ``None`` codes with Huffman and records
+    nothing.  The rANS coders fall back to Huffman on alphabets they
+    cannot model.  Huffman records ``total_bits``.
+    """
+    if entropy is not None:
+        meta["entropy"] = ENTROPY_CODERS[entropy]
+    if entropy == "rans_rle":
+        from repro.encoding.rle import encode_rle_rans
+
+        try:
+            streams.insert(0, ("payload", encode_rle_rans(q)))
+            return
+        except ParameterError:
+            meta["entropy"] = ENTROPY_CODERS["huffman"]
+    elif entropy == "rans":
+        from repro.encoding.rans import RansCoder
+
+        try:
+            coder = RansCoder.from_data(q)
+        except ParameterError:
+            meta["entropy"] = ENTROPY_CODERS["huffman"]
+        else:
+            # rANS output is already near-incompressible; only the
+            # model table goes through the lossless stage.
+            payload = coder.encode(q)
+            table = lossless_compress(coder.table_bytes(), lossless, level)
+            streams[:0] = [("table", table), ("payload", payload)]
+            return
+
+    code = CanonicalHuffman.from_data(q)
+    payload, total_bits = code.encode(q)
+    meta["total_bits"] = total_bits
+    payload = lossless_compress(payload, lossless, level)
+    table = lossless_compress(code.table_bytes(), lossless, level)
+    streams[:0] = [("table", table), ("payload", payload)]
+
+
+def decode_codes(container, lossless: str, n_codes: int) -> np.ndarray:
+    """Inverse of :func:`split_escapes` + :func:`encode_codes`: the
+    ``n_codes`` codes the codec's geometry requires, escapes restored,
+    as a flat int64 array.
+
+    Metadata that is CRC-valid but inconsistent -- an ``n_codes`` that
+    disagrees with the geometry, an entropy stream that holds more or
+    fewer codes, escape counts that do not match -- raises
+    :class:`~repro.errors.DecompressionError`.
+    """
+    meta = container.meta
+    try:
+        total_bits = int(meta.get("total_bits", 0))
+        entropy_id = int(meta.get("entropy", 0))
+        n_escapes = int(meta["n_escapes"])
+        escape_symbol = int(meta["escape_symbol"])
+        declared = int(meta.get("n_codes", n_codes))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad container metadata: {exc}") from exc
+    if declared != n_codes:
+        raise DecompressionError(
+            f"container declares {declared} codes, its geometry needs {n_codes}"
+        )
+
+    if entropy_id == 0:
+        table = lossless_decompress(container.stream("table"), lossless)
+        code = CanonicalHuffman.from_table_bytes(table)
+        payload = lossless_decompress(container.stream("payload"), lossless)
+        q = code.decode(payload, n_codes, total_bits)
+    elif entropy_id == 1:
+        from repro.encoding.rans import RansCoder
+
+        table = lossless_decompress(container.stream("table"), lossless)
+        q = RansCoder.from_table_bytes(table).decode(container.stream("payload"))
+    elif entropy_id == 2:
+        from repro.encoding.rle import decode_rle_rans
+
+        q = decode_rle_rans(container.stream("payload"))
+    else:
+        raise FormatError(f"unknown entropy coder id {entropy_id}")
+    if q.size != n_codes:
+        raise DecompressionError(
+            f"entropy stream holds {q.size} codes, expected {n_codes}"
+        )
+
+    # Kept codes satisfy |q| <= radius < escape_symbol, so the marker
+    # count must equal n_escapes -- zero included.
     mask = q == escape_symbol
     if int(mask.sum()) != n_escapes:
         raise DecompressionError("escape marker count mismatch")
-    q = q.copy()
-    q[mask] = escaped
+    if n_escapes:
+        blob = lossless_decompress(container.stream("escapes"), lossless)
+        if len(blob) != 8 * n_escapes:
+            raise DecompressionError(
+                f"escape stream has {len(blob) // 8} values, "
+                f"expected {n_escapes}"
+            )
+        q = q.copy()
+        q[mask] = np.frombuffer(blob, dtype=np.int64)
     return q
 
 
@@ -172,9 +295,6 @@ class SZCompressor:
         own stream.
     """
 
-    #: entropy-stage ids stored in the container
-    ENTROPY_CODERS = {"huffman": 0, "rans": 1, "rans_rle": 2}
-
     def __init__(
         self,
         error_bound: float = 1e-4,
@@ -186,12 +306,7 @@ class SZCompressor:
         entropy: str = "huffman",
         fill_value: Optional[float] = None,
     ) -> None:
-        if mode not in ("abs", "rel", "pw_rel"):
-            raise ParameterError(
-                f"mode must be 'abs', 'rel' or 'pw_rel', got {mode!r}"
-            )
-        if not np.isfinite(error_bound) or error_bound <= 0:
-            raise ParameterError(f"error bound must be positive, got {error_bound}")
+        check_bound(error_bound, mode, ("abs", "rel", "pw_rel"))
         if mode == "pw_rel" and error_bound >= 1.0:
             raise ParameterError("pointwise relative bound must be < 1")
         if quantization_radius < 1:
@@ -204,10 +319,10 @@ class SZCompressor:
         self.lossless_id = method_id(lossless)
         self.lossless_level = int(lossless_level)
         self.radius = int(quantization_radius)
-        if entropy not in self.ENTROPY_CODERS:
+        if entropy not in ENTROPY_CODERS:
             raise ParameterError(
                 f"unknown entropy coder {entropy!r}; "
-                f"choose from {sorted(self.ENTROPY_CODERS)}"
+                f"choose from {sorted(ENTROPY_CODERS)}"
             )
         self.entropy = entropy
         if fill_value is not None and np.isinf(fill_value):
@@ -237,7 +352,8 @@ class SZCompressor:
 
     def _encode_lattice(self, y: np.ndarray, eb_abs: float, meta, streams) -> None:
         """Core pipeline on a float64 array: lattice snap, predictor
-        difference, escape, Huffman; appends to ``meta``/``streams``."""
+        difference, then the shared escape and entropy stages; appends
+        to ``meta``/``streams``."""
         trace = observe.current_trace()
         anchor = float(y.flat[0])
         meta["eb_abs"] = pack_exact_float(eb_abs)
@@ -251,10 +367,11 @@ class SZCompressor:
                 sp.count("n_points", int(q.size))
                 sp.set("bin_size", 2.0 * eb_abs)
 
-        escape_symbol = self.radius + 1
         with trace.span("escape") as sp:
-            esc_mask = np.abs(q) > self.radius
-            n_escapes = int(esc_mask.sum())
+            q = split_escapes(
+                q, self.radius, meta, streams, self.lossless, self.lossless_level
+            )
+            n_escapes = meta["n_escapes"]
             reg = _metrics()
             reg.histogram(
                 "sz.quantization.hit_ratio", RATIO_BUCKETS
@@ -265,99 +382,25 @@ class SZCompressor:
             if trace.enabled:
                 sp.count("n_outliers", n_escapes)
                 sp.set("hit_ratio", 1.0 - n_escapes / q.size)
-            if n_escapes:
-                escaped_values = q[esc_mask].astype(np.int64)
-                q = q.copy()
-                q[esc_mask] = escape_symbol
-                streams.append(
-                    (
-                        "escapes",
-                        lossless_compress(
-                            escaped_values.tobytes(),
-                            self.lossless,
-                            self.lossless_level,
-                        ),
-                    )
-                )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-        meta["entropy"] = self.ENTROPY_CODERS[self.entropy]
 
         with trace.span("entropy") as sp:
+            encode_codes(
+                q, meta, streams, self.lossless, self.lossless_level, self.entropy
+            )
+            if "total_bits" in meta:
+                _metrics().histogram(
+                    "sz.entropy.bits_per_symbol", BITS_BUCKETS
+                ).observe(meta["total_bits"] / q.size)
             if trace.enabled:
                 sp.count("n_symbols", int(q.size))
-                sp.set("coder_id", self.ENTROPY_CODERS[self.entropy])
-            if self.entropy == "rans_rle":
-                from repro.encoding.rle import encode_rle_rans
-
-                try:
-                    streams.insert(0, ("payload", encode_rle_rans(q)))
-                    return
-                except ParameterError:
-                    meta["entropy"] = self.ENTROPY_CODERS["huffman"]
-                    if trace.enabled:
-                        sp.set("coder_id", self.ENTROPY_CODERS["huffman"])
-            elif self.entropy == "rans":
-                from repro.encoding.rans import RansCoder
-
-                try:
-                    coder = RansCoder.from_data(q)
-                except ParameterError:
-                    meta["entropy"] = self.ENTROPY_CODERS["huffman"]
-                    if trace.enabled:
-                        sp.set("coder_id", self.ENTROPY_CODERS["huffman"])
-                else:
-                    # rANS output is already near-incompressible; only the
-                    # model table goes through the lossless stage.
-                    streams.insert(0, ("payload", coder.encode(q)))
-                    streams.insert(
-                        0,
-                        (
-                            "table",
-                            lossless_compress(
-                                coder.table_bytes(),
-                                self.lossless,
-                                self.lossless_level,
-                            ),
-                        ),
-                    )
-                    return
-
-            code = CanonicalHuffman.from_data(q)
-            payload, total_bits = code.encode(q)
-            meta["total_bits"] = total_bits
-            _metrics().histogram(
-                "sz.entropy.bits_per_symbol", BITS_BUCKETS
-            ).observe(total_bits / q.size)
-            if trace.enabled:
-                sp.count("total_bits", int(total_bits))
-            streams.insert(
-                0,
-                (
-                    "payload",
-                    lossless_compress(payload, self.lossless, self.lossless_level),
-                ),
-            )
-            streams.insert(
-                0,
-                (
-                    "table",
-                    lossless_compress(
-                        code.table_bytes(), self.lossless, self.lossless_level
-                    ),
-                ),
-            )
+                sp.set("coder_id", meta["entropy"])
+                if "total_bits" in meta:
+                    sp.count("total_bits", int(meta["total_bits"]))
 
     def _split_fill(self, data):
         """Separate the fill mask from the data; returns
         ``(float64 array with fill replaced, mask or None)``."""
-        arr = np.asarray(data)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            raise ParameterError(
-                f"dtype {arr.dtype} unsupported; use float32 or float64"
-            )
-        if arr.ndim == 0 or arr.size == 0:
-            raise ParameterError("data must be a non-empty array")
+        arr = validate_input(data, finite=False)
         x = arr.astype(np.float64, copy=False)
         if self.fill_value is None:
             if not np.all(np.isfinite(x)):
@@ -462,16 +505,8 @@ class SZCompressor:
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
-        container = Container.from_bytes(blob)
-        if container.codec != CODEC_SZ:
-            raise FormatError("container was not produced by the SZ codec")
+        container, dtype, shape = open_container(blob, CODEC_SZ, "SZ")
         meta = container.meta
-        try:
-            dtype = np.dtype(meta["dtype"])
-            shape = tuple(int(s) for s in meta["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad container metadata: {exc}") from exc
-
         try:
             lossless = method_name(int(meta["lossless"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -516,10 +551,6 @@ class SZCompressor:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
             predictor_id = int(meta["predictor"])
-            total_bits = int(meta.get("total_bits", 0))
-            entropy_id = int(meta.get("entropy", 0))
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
@@ -530,24 +561,8 @@ class SZCompressor:
         with trace.span("sz.decode") as sp:
             if trace.enabled:
                 sp.count("n_points", n)
-                sp.set("coder_id", entropy_id)
-            q = SZCompressor._decode_codes(
-                container, lossless, entropy_id, n, total_bits, shape
-            )
-
-        if n_escapes:
-            esc_blob = lossless_decompress(container.stream("escapes"), lossless)
-            escaped_values = np.frombuffer(esc_blob, dtype=np.int64)
-            if escaped_values.size != n_escapes:
-                raise DecompressionError(
-                    f"escape stream has {escaped_values.size} values, "
-                    f"expected {n_escapes}"
-                )
-            esc_mask = q == escape_symbol
-            if int(esc_mask.sum()) != n_escapes:
-                raise DecompressionError("escape marker count mismatch")
-            q = q.copy()
-            q[esc_mask] = escaped_values
+                sp.set("coder_id", meta.get("entropy", 0))
+            q = decode_codes(container, lossless, n).reshape(shape)
 
         with trace.span("sz.reconstruct"):
             k = reconstruct(q)
@@ -556,34 +571,6 @@ class SZCompressor:
             if pointwise:
                 values = inverse_log_transform(signs, values)
         return _restore_fill(values).astype(dtype)
-
-    @staticmethod
-    def _decode_codes(container, lossless, entropy_id, n, total_bits, shape):
-        """Entropy-decode the quantization codes of one container."""
-        if entropy_id == 2:
-            from repro.encoding.rle import decode_rle_rans
-
-            q = decode_rle_rans(container.stream("payload"))
-            if q.size != n:
-                raise DecompressionError("RLE symbol count mismatch")
-            q = q.reshape(shape)
-        elif entropy_id == 1:
-            from repro.encoding.rans import RansCoder
-
-            table_blob = lossless_decompress(container.stream("table"), lossless)
-            coder = RansCoder.from_table_bytes(table_blob)
-            q = coder.decode(container.stream("payload"))
-            if q.size != n:
-                raise DecompressionError("rANS symbol count mismatch")
-            q = q.reshape(shape)
-        elif entropy_id == 0:
-            table_blob = lossless_decompress(container.stream("table"), lossless)
-            code = CanonicalHuffman.from_table_bytes(table_blob)
-            payload = lossless_decompress(container.stream("payload"), lossless)
-            q = code.decode(payload, n, total_bits).reshape(shape)
-        else:
-            raise FormatError(f"unknown entropy coder id {entropy_id}")
-        return q
 
 
 def compress(

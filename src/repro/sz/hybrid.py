@@ -30,7 +30,6 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
@@ -52,13 +51,15 @@ from repro.io.container import (
 from repro.sz.compressor import (
     DEFAULT_RADIUS,
     check_bound,
+    decode_codes,
+    encode_codes,
     open_container,
-    restore_escapes,
+    split_escapes,
     validate_input,
 )
 from repro.sz.quantizer import MAX_LATTICE_COORD
 from repro.sz.regression import design_matrix, fit_block_planes
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 
 __all__ = ["HybridCompressor"]
 
@@ -196,41 +197,11 @@ class HybridCompressor:
                 )
             )
 
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
+        q = split_escapes(
+            q, self.radius, meta, streams, self.lossless, self.lossless_level
+        )
+        encode_codes(q, meta, streams, self.lossless, self.lossless_level)
         meta["n_codes"] = int(q.size)
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
-        )
         return observe.traced_pack(Container(CODEC_HYBRID, meta, streams))
 
     @staticmethod
@@ -247,17 +218,16 @@ class HybridCompressor:
             anchor = unpack_exact_float(meta["anchor"])
             m = int(meta["block_size"])
             lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
-            n_codes = int(meta["n_codes"])
             n_blocks = int(meta["n_blocks"])
             n_regression = int(meta["n_regression"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         d = len(shape)
         delta = 2.0 * eb_abs
+        n_codes = int(np.prod(padded_shape(shape, m)))
+        if n_blocks * m**d != n_codes:
+            raise DecompressionError("block count does not match the array")
 
         sel_blob = lossless_decompress(container.stream("selector"), lossless)
         bits = np.unpackbits(np.frombuffer(sel_blob, dtype=np.uint8))
@@ -267,18 +237,7 @@ class HybridCompressor:
         if int(use_reg.sum()) != n_regression:
             raise DecompressionError("selector/regression count mismatch")
 
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
-
-        q = q.reshape((n_blocks,) + (m,) * d)
+        q = decode_codes(container, lossless, n_codes).reshape((n_blocks,) + (m,) * d)
         recon = np.empty(q.shape, dtype=np.float64)
 
         # Lorenzo blocks: cumsum back to lattice coordinates.
@@ -289,10 +248,11 @@ class HybridCompressor:
 
         if use_reg.any():
             coeff_blob = lossless_decompress(container.stream("coeffs"), lossless)
-            coeffs = np.frombuffer(coeff_blob, dtype=np.float32)
-            if coeffs.size != n_regression * (d + 1):
+            if len(coeff_blob) != 4 * n_regression * (d + 1):
                 raise DecompressionError("coefficient stream length mismatch")
-            coeffs = coeffs.reshape(n_regression, d + 1)
+            coeffs = np.frombuffer(coeff_blob, dtype=np.float32).reshape(
+                n_regression, d + 1
+            )
             A, _ = design_matrix(m, d)
             pred = (coeffs.astype(np.float64) @ A.T).reshape(
                 (n_regression,) + (m,) * d

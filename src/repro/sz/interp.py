@@ -28,13 +28,7 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-    method_name,
-)
+from repro.encoding.lossless import method_id, method_name
 from repro.errors import (
     CompressionError,
     DecompressionError,
@@ -50,8 +44,10 @@ from repro.io.container import (
 from repro.sz.compressor import (
     DEFAULT_RADIUS,
     check_bound,
+    decode_codes,
+    encode_codes,
     open_container,
-    restore_escapes,
+    split_escapes,
     validate_input,
 )
 
@@ -236,41 +232,11 @@ class InterpolationCompressor:
             raise CompressionError("traversal did not cover the array")
 
         streams = []
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
+        q = split_escapes(
+            q, self.radius, meta, streams, self.lossless, self.lossless_level
+        )
+        encode_codes(q, meta, streams, self.lossless, self.lossless_level)
         meta["n_codes"] = int(q.size)
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
-        )
         return observe.traced_pack(Container(CODEC_INTERP, meta, streams))
 
     @staticmethod
@@ -289,27 +255,12 @@ class InterpolationCompressor:
             anchor = unpack_exact_float(meta["anchor"])
             cubic = int(meta["interpolator"]) == 1
             lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
-            n_codes = int(meta["n_codes"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         n = int(np.prod(shape))
-        if n_codes != n:
-            raise DecompressionError("code count does not match the array")
         delta = 2.0 * eb_abs
-
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
+        q = decode_codes(container, lossless, n)
 
         recon = np.zeros(shape, dtype=np.float64)
         pos = 0

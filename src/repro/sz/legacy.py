@@ -34,7 +34,6 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
@@ -56,8 +55,10 @@ from repro.io.container import (
 from repro.sz.compressor import (
     DEFAULT_RADIUS,
     check_bound,
+    decode_codes,
+    encode_codes,
     open_container,
-    restore_escapes,
+    split_escapes,
     validate_input,
 )
 from repro.sz.quantizer import MAX_LATTICE_COORD
@@ -171,42 +172,11 @@ class Sz11Compressor:
             )
         ]
 
-        q = q.ravel()
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
+        q = split_escapes(
+            q.ravel(), self.radius, meta, streams, self.lossless, self.lossless_level
+        )
+        encode_codes(q, meta, streams, self.lossless, self.lossless_level)
         meta["n_codes"] = int(q.size)
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
-        )
         return observe.traced_pack(Container(CODEC_LEGACY, meta, streams))
 
     @staticmethod
@@ -222,18 +192,15 @@ class Sz11Compressor:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
             lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
-            n_codes = int(meta["n_codes"])
             n_seg = int(meta["n_segments"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         n = int(np.prod(shape))
         delta = 2.0 * eb_abs
-        if n_codes != n_seg * SEGMENT:
+        if n_seg != -(-n // SEGMENT):
             raise DecompressionError("segment geometry mismatch")
+        n_codes = n_seg * SEGMENT
 
         flag_blob = lossless_decompress(container.stream("flags"), lossless)
         bits = np.unpackbits(np.frombuffer(flag_blob, dtype=np.uint8))
@@ -244,16 +211,7 @@ class Sz11Compressor:
         if (flags > 2).any():
             raise DecompressionError("invalid predictor flag")
 
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
-        q = q.reshape(n_seg, SEGMENT)
+        q = decode_codes(container, lossless, n_codes).reshape(n_seg, SEGMENT)
 
         # Lane-parallel recurrence: SEGMENT Python iterations, all
         # segments advancing together.

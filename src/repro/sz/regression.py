@@ -30,7 +30,6 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
 from repro.encoding.lossless import (
     lossless_compress,
     lossless_decompress,
@@ -52,11 +51,13 @@ from repro.io.container import (
 from repro.sz.compressor import (
     DEFAULT_RADIUS,
     check_bound,
+    decode_codes,
+    encode_codes,
     open_container,
-    restore_escapes,
+    split_escapes,
     validate_input,
 )
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 
 __all__ = ["RegressionCompressor", "design_matrix", "fit_block_planes"]
 
@@ -171,9 +172,6 @@ class RegressionCompressor:
             )
         q = codes_f.astype(np.int64).ravel()
 
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
         streams = [
             (
                 "coeffs",
@@ -182,39 +180,12 @@ class RegressionCompressor:
                 ),
             )
         ]
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
+        q = split_escapes(
+            q, self.radius, meta, streams, self.lossless, self.lossless_level
+        )
         meta["n_blocks"] = int(blocks.shape[0])
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
+        encode_codes(q, meta, streams, self.lossless, self.lossless_level)
         meta["n_codes"] = int(q.size)
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
-        )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
-        )
         return observe.traced_pack(Container(CODEC_REGRESSION, meta, streams))
 
     @staticmethod
@@ -232,34 +203,22 @@ class RegressionCompressor:
             eb_abs = unpack_exact_float(meta["eb_abs"])
             m = int(meta["block_size"])
             lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
-            n_codes = int(meta["n_codes"])
             n_blocks = int(meta["n_blocks"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         d = len(shape)
         delta = 2.0 * eb_abs
+        n_codes = int(np.prod(padded_shape(shape, m)))
+        if n_blocks * m**d != n_codes:
+            raise DecompressionError("block count does not match the array")
 
         coeff_blob = lossless_decompress(container.stream("coeffs"), lossless)
-        coeffs = np.frombuffer(coeff_blob, dtype=np.float32)
-        if coeffs.size != n_blocks * (d + 1):
+        if len(coeff_blob) != 4 * n_blocks * (d + 1):
             raise DecompressionError("coefficient stream length mismatch")
-        coeffs = coeffs.reshape(n_blocks, d + 1)
+        coeffs = np.frombuffer(coeff_blob, dtype=np.float32).reshape(n_blocks, d + 1)
 
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
-
+        q = decode_codes(container, lossless, n_codes)
         pred = _predict(coeffs, m, d)
         recon = pred + delta * q.astype(np.float64).reshape(pred.shape)
         return merge_blocks(recon, m, shape).astype(dtype)

@@ -32,13 +32,7 @@ import numpy as np
 
 import repro.observe as observe
 
-from repro.encoding.huffman import CanonicalHuffman
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-    method_name,
-)
+from repro.encoding.lossless import method_id, method_name
 from repro.errors import (
     DecompressionError,
     FormatError,
@@ -50,7 +44,13 @@ from repro.io.container import (
     pack_exact_float,
     unpack_exact_float,
 )
-from repro.sz.compressor import DEFAULT_RADIUS, restore_escapes, validate_input
+from repro.sz.compressor import (
+    DEFAULT_RADIUS,
+    decode_codes,
+    encode_codes,
+    split_escapes,
+    validate_input,
+)
 from repro.sz.predictors import lorenzo_difference, lorenzo_reconstruct
 from repro.sz.quantizer import LatticeQuantizer
 
@@ -211,40 +211,10 @@ class TemporalCompressor:
         self._step += 1
 
         streams = []
-        escape_symbol = self.radius + 1
-        esc_mask = np.abs(q) > self.radius
-        n_escapes = int(esc_mask.sum())
-        if n_escapes:
-            escaped = q[esc_mask].astype(np.int64)
-            q = q.copy()
-            q[esc_mask] = escape_symbol
-            streams.append(
-                (
-                    "escapes",
-                    lossless_compress(
-                        escaped.tobytes(), self.lossless, self.lossless_level
-                    ),
-                )
-            )
-        meta["n_escapes"] = n_escapes
-        meta["escape_symbol"] = escape_symbol
-
-        code = CanonicalHuffman.from_data(q)
-        payload, total_bits = code.encode(q)
-        meta["total_bits"] = total_bits
-        streams.insert(
-            0,
-            ("payload", lossless_compress(payload, self.lossless, self.lossless_level)),
+        q = split_escapes(
+            q, self.radius, meta, streams, self.lossless, self.lossless_level
         )
-        streams.insert(
-            0,
-            (
-                "table",
-                lossless_compress(
-                    code.table_bytes(), self.lossless, self.lossless_level
-                ),
-            ),
-        )
+        encode_codes(q, meta, streams, self.lossless, self.lossless_level)
         return observe.traced_pack(Container(CODEC_SZ, meta, streams))
 
 
@@ -274,9 +244,6 @@ class TemporalDecompressor:
             lossless = method_name(int(meta["lossless"]))
             eb_abs = unpack_exact_float(meta["eb_abs"])
             anchor = unpack_exact_float(meta["anchor"])
-            total_bits = int(meta["total_bits"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad temporal metadata: {exc}") from exc
         if order not in (0, 1, 2):
@@ -296,16 +263,7 @@ class TemporalDecompressor:
                     f"after {self._step}"
                 )
 
-        n = int(np.prod(shape))
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n, total_bits).reshape(shape)
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
+        q = decode_codes(container, lossless, int(np.prod(shape))).reshape(shape)
 
         if order == 0:
             spatial = q

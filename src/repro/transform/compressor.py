@@ -19,13 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro.observe as observe
-from repro.encoding.huffman import CanonicalHuffman
-from repro.encoding.lossless import (
-    lossless_compress,
-    lossless_decompress,
-    method_id,
-    method_name,
-)
+from repro.encoding.lossless import method_id, method_name
 from repro.errors import (
     CompressionError,
     FormatError,
@@ -40,11 +34,13 @@ from repro.io.container import (
 from repro.sz.compressor import (
     DEFAULT_RADIUS,
     check_bound,
+    decode_codes,
+    encode_codes,
     open_container,
-    restore_escapes,
+    split_escapes,
     validate_input,
 )
-from repro.transform.blocking import merge_blocks, split_blocks
+from repro.transform.blocking import merge_blocks, padded_shape, split_blocks
 from repro.transform.dct import block_inverse, block_transform, dct_matrix
 
 __all__ = ["TransformCompressor"]
@@ -179,10 +175,12 @@ class TransformCompressor:
                     sp.count("n_points", int(q.size))
                     sp.set("bin_size", delta)
 
-            escape_symbol = self.radius + 1
+            streams = []
             with trace.span("escape") as sp:
-                esc_mask = np.abs(q) > self.radius
-                n_escapes = int(esc_mask.sum())
+                q = split_escapes(
+                    q, self.radius, meta, streams, self.lossless, self.lossless_level
+                )
+                n_escapes = meta["n_escapes"]
                 from repro.telemetry.registry import (
                     RATIO_BUCKETS,
                     metrics as _metrics,
@@ -194,48 +192,13 @@ class TransformCompressor:
                 if trace.enabled:
                     sp.count("n_outliers", n_escapes)
                     sp.set("hit_ratio", 1.0 - n_escapes / q.size)
-                streams = []
-                if n_escapes:
-                    escaped = q[esc_mask].astype(np.int64)
-                    q = q.copy()
-                    q[esc_mask] = escape_symbol
-                    streams.append(
-                        (
-                            "escapes",
-                            lossless_compress(
-                                escaped.tobytes(), self.lossless, self.lossless_level
-                            ),
-                        )
-                    )
-            meta["n_escapes"] = n_escapes
-            meta["escape_symbol"] = escape_symbol
 
             with trace.span("entropy") as sp:
-                code = CanonicalHuffman.from_data(q)
-                payload, total_bits = code.encode(q)
-                meta["total_bits"] = total_bits
+                encode_codes(q, meta, streams, self.lossless, self.lossless_level)
                 meta["n_codes"] = int(q.size)
                 if trace.enabled:
                     sp.count("n_symbols", int(q.size))
-                    sp.count("total_bits", int(total_bits))
-                streams.insert(
-                    0,
-                    (
-                        "payload",
-                        lossless_compress(
-                            payload, self.lossless, self.lossless_level
-                        ),
-                    ),
-                )
-                streams.insert(
-                    0,
-                    (
-                        "table",
-                        lossless_compress(
-                            code.table_bytes(), self.lossless, self.lossless_level
-                        ),
-                    ),
-                )
+                    sp.count("total_bits", int(meta["total_bits"]))
             return self._pack(meta, streams)
 
     @staticmethod
@@ -254,25 +217,11 @@ class TransformCompressor:
             center = unpack_exact_float(meta["center"])
             m = int(meta["block_size"])
             lossless = method_name(int(meta["lossless"]))
-            total_bits = int(meta["total_bits"])
-            n_codes = int(meta["n_codes"])
-            n_escapes = int(meta["n_escapes"])
-            escape_symbol = int(meta["escape_symbol"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad container metadata: {exc}") from exc
 
         delta = 2.0 * eb_abs
-        table_blob = lossless_decompress(container.stream("table"), lossless)
-        code = CanonicalHuffman.from_table_bytes(table_blob)
-        payload = lossless_decompress(container.stream("payload"), lossless)
-        q = code.decode(payload, n_codes, total_bits)
-
-        if n_escapes:
-            q = restore_escapes(
-                q, escape_symbol, n_escapes, container.stream("escapes"),
-                lossless,
-            )
-
+        q = decode_codes(container, lossless, int(np.prod(padded_shape(shape, m))))
         d = len(shape)
         transform_id = int(meta.get("transform", 0))
         T = TransformCompressor._matrix(transform_id, m)

@@ -128,6 +128,16 @@ class TestCanonicalHuffman:
         assert payload == b"" and bits == 0
         assert code.decode(b"", 0, 0).size == 0
 
+    @pytest.mark.parametrize("decoder", ["decode", "decode_sequential"])
+    @pytest.mark.parametrize("n_symbols", [0, 1, 2999])
+    def test_unread_bits_rejected(self, rng, decoder, n_symbols):
+        """Asking for fewer symbols than the stream holds is an error:
+        the last symbol must end exactly at ``total_bits``."""
+        data = rng.geometric(0.4, size=3000)
+        payload, bits, code = huffman_encode(data)
+        with pytest.raises(DecompressionError):
+            getattr(code, decoder)(payload, n_symbols, bits)
+
     def test_out_of_alphabet_raises(self):
         _, _, code = huffman_encode(np.array([1, 2, 3]))
         with pytest.raises(ParameterError):
